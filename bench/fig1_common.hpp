@@ -1,8 +1,5 @@
 // Shared helpers for the Fig. 1 scenarios (bench/scenarios/
-// scenario_fig1.cpp). Option parsing previously lived here as an
-// ad-hoc strtoul loop that silently parsed malformed numbers as 0; all
-// bench binaries now share the strict bench_core::OptionParser instead
-// (see bench_core/options.hpp and scenarios/scenarios.hpp).
+// scenario_fig1.cpp).
 #pragma once
 
 #include <cstddef>

@@ -68,10 +68,10 @@ Row run_sim_grid(std::uint32_t grid_rows, std::uint32_t grid_cols,
   double slots = 0.0;
   double duration_ms = 0.0;
   ct::RoundContext scratch;  // reused across reps (identical results)
+  ct::MiniCastResult res;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
     crypto::Xoshiro256 rng(crypto::derive_seed(ctx.seed, n, rep));
-    const ct::MiniCastResult res =
-        run_minicast(topo, sched.entries, cfg, rng, scratch);
+    run_minicast_into(topo, sched.entries, cfg, rng, scratch, res);
     delivery += res.delivery_ratio();
     slots += static_cast<double>(res.chain_slots_used);
     duration_ms += static_cast<double>(res.duration_us) / 1e3;

@@ -1,12 +1,5 @@
 #include "scenarios/scenarios.hpp"
 
-#include <cstdio>
-#include <iostream>
-#include <string>
-
-#include "bench_core/options.hpp"
-#include "bench_core/runner.hpp"
-
 namespace mpciot::bench {
 
 void register_all_scenarios(bench_core::Registry& registry) {
@@ -24,50 +17,6 @@ void register_all_scenarios(bench_core::Registry& registry) {
   register_sustained_load(registry);
   register_transport_matrix(registry);
   register_unicast_vs_ct(registry);
-}
-
-int run_legacy_shim(const char* scenario_name, int argc, char** argv,
-                    bool accept_max_ntx) {
-  bench_core::ScenarioContext ctx;
-  bool csv = false;
-  std::uint32_t max_ntx = 20;  // scenario default; 0 = empty sweep
-
-  bench_core::OptionParser parser(std::string("Runs the '") + scenario_name +
-                                  "' scenario (shim over mpciot-bench).");
-  parser.add_u32("--reps", &ctx.reps, "rounds per configuration "
-                                      "(0 = scenario default)");
-  parser.add_u64("--seed", &ctx.seed, "base RNG seed");
-  parser.add_flag("--csv", &csv, "also emit CSV tables");
-  std::uint32_t jobs = 1;
-  parser.add_u32("--jobs", &jobs, "trial worker threads (1 = serial, "
-                                  "0 = hardware concurrency)");
-  if (accept_max_ntx) {
-    parser.add_u32("--max-ntx", &max_ntx, "highest NTX to sweep");
-  }
-  if (!parser.parse(argc, argv)) {
-    std::fprintf(stderr, "%s: %s\n%s", argv[0], parser.error().c_str(),
-                 parser.usage(argv[0]).c_str());
-    return 2;
-  }
-  ctx.jobs = jobs;
-  // Forward unconditionally: --max-ntx 0 must mean an empty sweep (as
-  // the pre-registry binary behaved), not "fall back to the default".
-  if (accept_max_ntx) {
-    ctx.params.emplace_back("max_ntx", std::to_string(max_ntx));
-  }
-
-  bench_core::Registry registry;
-  register_all_scenarios(registry);
-  const bench_core::ScenarioSpec* spec = registry.find(scenario_name);
-  if (!spec) {
-    std::fprintf(stderr, "%s: scenario '%s' not registered\n", argv[0],
-                 scenario_name);
-    return 1;
-  }
-  const std::vector<bench_core::ScenarioRun> runs =
-      bench_core::run_scenarios({spec}, ctx, nullptr);
-  bench_core::print_results(runs, std::cout, csv);
-  return 0;
 }
 
 }  // namespace mpciot::bench

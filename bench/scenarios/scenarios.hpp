@@ -30,13 +30,6 @@ void register_sustained_load(bench_core::Registry& registry);
 void register_transport_matrix(bench_core::Registry& registry);
 void register_unicast_vs_ct(bench_core::Registry& registry);
 
-/// Entry point for the legacy per-figure binaries: parse the historic
-/// flags (--reps, --seed, --csv, plus --jobs and, when enabled,
-/// --max-ntx) with the strict shared parser, run one scenario, print
-/// its table. Returns the process exit code (2 on bad usage).
-int run_legacy_shim(const char* scenario_name, int argc, char** argv,
-                    bool accept_max_ntx = false);
-
 /// Round to 3 decimals so JSON rows stay readable; deterministic.
 inline double round3(double v) { return std::round(v * 1000.0) / 1000.0; }
 

@@ -1,8 +1,7 @@
-// One strict command-line option parser shared by every bench binary
-// (the unified runner and the per-figure shims). Replaces the ad-hoc
-// strtoul loops that silently parsed "abc" as 0: unknown options,
-// missing values, and malformed or out-of-range numerics are all hard
-// errors with a usage line.
+// One strict command-line option parser shared by every CLI (the
+// unified bench runner and the rt daemons). Unknown options, missing
+// values, and malformed or out-of-range numerics are all hard errors
+// with a usage line — "abc" never parses as 0.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,7 @@
 // A scenario is a named, parameterized experiment that returns its
 // results as data (rows of key->JSON-value pairs) instead of printing
 // them. The runner turns rows into the BENCH JSON document and/or a
-// human table; the legacy per-figure binaries are thin shims that run a
-// single scenario through the same path.
+// human table.
 //
 // Registration is explicit (bench/scenarios/ exposes
 // register_all_scenarios) rather than via static initializers, so

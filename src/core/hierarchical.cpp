@@ -245,23 +245,6 @@ std::uint32_t HierarchicalProtocol::max_round_batches() const {
   return static_cast<std::uint32_t>(best);
 }
 
-HierarchicalResult HierarchicalProtocol::run(
-    const std::vector<field::Fp61>& secrets, sim::Simulator& sim) const {
-  RoundEnv env;
-  env.start_time_us = sim.now();
-  env.channel_model = sim.channel_model();
-  env.liveness = sim.liveness();
-  HierWorkspace ws;
-  return run_round(secrets, sim, env, ws);
-}
-
-HierarchicalResult HierarchicalProtocol::run(
-    const std::vector<field::Fp61>& secrets, sim::Simulator& sim,
-    const RoundEnv& env) const {
-  HierWorkspace ws;
-  return run_round(secrets, sim, env, ws);
-}
-
 const HierarchicalResult& HierarchicalProtocol::run_round(
     const std::vector<field::Fp61>& secrets, sim::Simulator& sim,
     const RoundEnv& env, HierWorkspace& ws) const {

@@ -174,10 +174,9 @@ struct HierarchicalResult {
 };
 
 /// Warm per-round state of the hierarchical engine, owned by a
-/// core::Session (or by a deprecated shim's stack frame). The flat
-/// RoundWorkspace inside is shared by every group's batch rounds — each
-/// inner round re-initializes what it uses, so one workspace serves any
-/// group shape.
+/// core::Session. The flat RoundWorkspace inside is shared by every
+/// group's batch rounds — each inner round re-initializes what it uses,
+/// so one workspace serves any group shape.
 struct HierWorkspace {
   RoundWorkspace flat;       // inner SSS batch rounds
   ct::RoundContext scratch;  // chain/flood engine scratch
@@ -207,34 +206,6 @@ class HierarchicalProtocol {
   HierarchicalProtocol(const net::Topology& topo, HierarchicalConfig config,
                        const ct::Transport* transport = nullptr);
 
-  /// Run one hierarchical aggregation. secrets[i] belongs to node i
-  /// (every node is a source). Thread-safe: concurrent calls may share
-  /// one protocol instance as long as each uses its own Simulator.
-  /// Reads the dynamics environment (channel model, churn) off `sim`.
-  ///
-  /// Deprecated: construct a core::Session over this protocol and call
-  /// Session::run_round — it owns the warm state, issues monotone
-  /// round/nonce ids, and rotates key epochs. This shim runs the same
-  /// engine with a cold workspace (byte-identical results).
-  [[deprecated("use core::Session::run_round")]] HierarchicalResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim) const;
-
-  /// As above with an explicit environment. Group rounds are placed on
-  /// the trial clock at their channel-timeline offsets, the parent
-  /// churn schedule is mapped onto each group's local ids, and a
-  /// churn-down leader is replaced before a round or recombination
-  /// flood runs: group rounds re-elect the most central up member;
-  /// recombination and the result flood re-elect among the *deputies*
-  /// of a partial sum — the nodes that provably hold the same value
-  /// (reconstructed every batch, or heard the merging floods). A
-  /// partial whose holders are all down is lost for the round, exactly
-  /// like an exhausted retry.
-  ///
-  /// Deprecated: see the two-argument overload.
-  [[deprecated("use core::Session::run_round")]] HierarchicalResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim,
-      const RoundEnv& env) const;
-
   const HierarchicalConfig& config() const { return config_; }
   /// Group g's leader (parent node id): the most central node of the
   /// group's subtopology; it accumulates the group sum.
@@ -251,12 +222,26 @@ class HierarchicalProtocol {
   friend class Session;
   friend class Campaign;
 
-  /// The engine behind every entry point: one hierarchical aggregation
-  /// into `ws` (result returned by reference into ws.result). With a
-  /// null env.timeline this reproduces the historic run() overloads bit
-  /// for bit; a Session timeline switches the group phase and the
-  /// recombination/result floods to absolute channel bookings that
-  /// overlap across campaign rounds.
+  /// The engine: one hierarchical aggregation into `ws` (result
+  /// returned by reference into ws.result). secrets[i] belongs to node
+  /// i (every node is a source). Concurrent calls may share one
+  /// protocol instance as long as each uses its own Simulator and
+  /// workspace.
+  ///
+  /// Group rounds are placed on the trial clock at their
+  /// channel-timeline offsets, the parent churn schedule in `env` is
+  /// mapped onto each group's local ids, and a churn-down leader is
+  /// replaced before a round or recombination flood runs: group rounds
+  /// re-elect the most central up member; recombination and the result
+  /// flood re-elect among the *deputies* of a partial sum — the nodes
+  /// that provably hold the same value (reconstructed every batch, or
+  /// heard the merging floods). A partial whose holders are all down is
+  /// lost for the round, exactly like an exhausted retry.
+  ///
+  /// A null env.timeline is the classic single round; a Session
+  /// timeline switches the group phase and the recombination/result
+  /// floods to absolute channel bookings that overlap across campaign
+  /// rounds.
   const HierarchicalResult& run_round(const std::vector<field::Fp61>& secrets,
                                       sim::Simulator& sim, const RoundEnv& env,
                                       HierWorkspace& ws) const;

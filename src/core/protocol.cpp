@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 #include "core/bootstrap.hpp"
@@ -119,6 +117,8 @@ SssProtocol::SssProtocol(const net::Topology& topo,
     : topo_(&topo),
       keys_(&keys),
       config_(std::move(config)),
+      spec_{config_.sources, config_.share_holders, config_.degree,
+            static_cast<std::uint16_t>(config_.round & 0xFFFFu)},
       transport_(transport != nullptr ? transport
                                       : &ct::minicast_transport()),
       engine_(config_.adversary, topo.size()),
@@ -130,25 +130,12 @@ SssProtocol::SssProtocol(const net::Topology& topo,
   MPCIOT_REQUIRE(topo.size() <= 0x10000,
                  "protocol: node ids are u16 on the wire; this topology "
                  "needs hierarchical grouping");
-  MPCIOT_REQUIRE(!config_.sources.empty(), "protocol: no sources");
-  MPCIOT_REQUIRE(config_.sources.size() <= 64,
-                 "protocol: at most 64 sources per round");
-  MPCIOT_REQUIRE(!config_.share_holders.empty(), "protocol: no holders");
-  MPCIOT_REQUIRE(config_.degree >= 1, "protocol: degree must be >= 1");
-  MPCIOT_REQUIRE(config_.degree < config_.sources.size() ||
-                     config_.degree < config_.share_holders.size(),
-                 "protocol: degree+1 sums must be collectible");
-  MPCIOT_REQUIRE(config_.degree + 1 <= config_.share_holders.size(),
-                 "protocol: need at least degree+1 share holders");
-  std::unordered_set<NodeId> seen;
+  roles::validate(spec_);
   for (NodeId s : config_.sources) {
     MPCIOT_REQUIRE(s < topo.size(), "protocol: source id out of range");
-    MPCIOT_REQUIRE(seen.insert(s).second, "protocol: duplicate source");
   }
-  seen.clear();
   for (NodeId h : config_.share_holders) {
     MPCIOT_REQUIRE(h < topo.size(), "protocol: holder id out of range");
-    MPCIOT_REQUIRE(seen.insert(h).second, "protocol: duplicate holder");
   }
   MPCIOT_REQUIRE(config_.initiator < topo.size(),
                  "protocol: initiator out of range");
@@ -156,23 +143,6 @@ SssProtocol::SssProtocol(const net::Topology& topo,
   // once (after validation) instead of per round.
   sharing_ = ct::make_sharing_schedule(config_.sources, config_.share_holders);
   recon_ = ct::make_reconstruction_schedule(config_.share_holders);
-}
-
-AggregationResult SssProtocol::run(const std::vector<field::Fp61>& secrets,
-                                   sim::Simulator& sim) const {
-  RoundEnv env;
-  env.start_time_us = sim.now();
-  env.channel_model = sim.channel_model();
-  env.liveness = sim.liveness();
-  RoundWorkspace ws;
-  return run_round(secrets, sim, env, ws);
-}
-
-AggregationResult SssProtocol::run(const std::vector<field::Fp61>& secrets,
-                                   sim::Simulator& sim,
-                                   const RoundEnv& env) const {
-  RoundWorkspace ws;
-  return run_round(secrets, sim, env, ws);
 }
 
 const AggregationResult& SssProtocol::run_round(
@@ -516,51 +486,47 @@ const AggregationResult& SssProtocol::run_round(
   // ---- Stage 2: reconstruction phase ----
   const ct::ReconstructionSchedule& recon = recon_;
 
+  // The SumPacket holder h broadcasts.
+  const auto holder_sum_packet = [&](std::size_t h) {
+    SumPacket pkt;
+    pkt.holder = config_.share_holders[h];
+    pkt.contribution_count =
+        static_cast<std::uint8_t>(std::popcount(ws.holder_contrib[h]));
+    pkt.round = wire_round;
+    pkt.sum = ws.holder_sum[h];
+    pkt.contributors = ws.holder_contrib[h];
+    return pkt;
+  };
+  // One warm aggregator serves the completion oracle below and every
+  // node's stage-3 reconstruction. Hierarchical groups of different
+  // shapes share a workspace, so it is rebuilt when the spec changes.
+  if (!ws.aggregator.has_value() ||
+      ws.aggregator->spec().degree != spec_.degree ||
+      ws.aggregator->spec().sources != spec_.sources ||
+      ws.aggregator->spec().holders != spec_.holders) {
+    ws.aggregator.emplace(spec_);
+  }
+  roles::AggregatorRole& aggregator = *ws.aggregator;
+
   // A holder with no live sum cannot inject its entry: model by marking
   // the holder disabled iff dead (a live holder with a partial sum still
   // transmits; receivers filter by the contributor bitmap).
-  // Usable entries for the done-predicate: the largest group of live
-  // holders with identical contributor sets. The common case — every
-  // valid holder heard the same contributor set — needs no grouping at
-  // all; the hash-map tally only runs on genuinely mixed rounds (and
-  // reproduces the historic iteration order exactly).
-  std::uint64_t best_mask = 0;
-  {
-    bool mixed = false;
-    bool any = false;
-    for (std::size_t h = 0; h < num_holders && !mixed; ++h) {
-      if (!ws.holder_valid[h]) continue;
-      if (!any) {
-        best_mask = ws.holder_contrib[h];
-        any = true;
-      } else if (ws.holder_contrib[h] != best_mask) {
-        mixed = true;
-      }
-    }
-    if (mixed) {
-      std::unordered_map<std::uint64_t, std::uint32_t> group_size;
-      for (std::size_t h = 0; h < num_holders; ++h) {
-        if (ws.holder_valid[h]) ++group_size[ws.holder_contrib[h]];
-      }
-      best_mask = 0;
-      std::uint32_t best_count = 0;
-      for (const auto& [mask, count] : group_size) {
-        const int pc = std::popcount(mask);
-        if (count > best_count ||
-            (count == best_count && pc > std::popcount(best_mask))) {
-          best_count = count;
-          best_mask = mask;
-        }
-      }
-    }
-  }
+  // Usable entries for the done-predicate: the holders carrying the mask
+  // the shared reconstruction rule would pick from every live sum.
   // Completion counts only sums a verifying receiver would accept: with
   // VSS on nodes verify point-sums on reception, so a known-bad sum does
   // not count toward the k+1 threshold and the radio stays on longer.
+  aggregator.reset(wire_round);
+  for (std::size_t h = 0; h < num_holders; ++h) {
+    if (ws.holder_valid[h] && !ws.sum_bad[h]) {
+      aggregator.accept(holder_sum_packet(h));
+    }
+  }
+  const std::optional<std::uint64_t> best_mask = aggregator.best_mask();
   ws.usable_mask.assign((num_holders + 63) / 64, 0);
   for (std::size_t h = 0; h < num_holders; ++h) {
-    if (ws.holder_valid[h] && ws.holder_contrib[h] == best_mask &&
-        !ws.sum_bad[h]) {
+    if (ws.holder_valid[h] && !ws.sum_bad[h] && best_mask.has_value() &&
+        ws.holder_contrib[h] == *best_mask) {
       ct::bit_set(ws.usable_mask.data(), h);
     }
   }
@@ -645,25 +611,15 @@ const AggregationResult& SssProtocol::run_round(
       }
     }
 
-    // Collect the sums this node decoded (own sum included for holders)
-    // into flat parallel arrays; rounds where every accepted sum carries
-    // the same contributor set — the common case — never touch a map.
-    ws.node_mask.clear();
-    ws.node_share.clear();
+    // Feed the sums this node decoded (own sum included for holders)
+    // to the shared reconstruction rule.
+    aggregator.reset(wire_round);
     for (std::size_t h = 0; h < num_holders; ++h) {
       if (!ws.holder_valid[h]) continue;
-      const NodeId holder = config_.share_holders[h];
-      const bool own = (holder == node);
+      const bool own = (config_.share_holders[h] == node);
       if (!own && !recon_round.node_has(node, h)) continue;
       // Decode the wire bytes the holder would have broadcast.
-      SumPacket pkt;
-      pkt.holder = holder;
-      pkt.contribution_count =
-          static_cast<std::uint8_t>(std::popcount(ws.holder_contrib[h]));
-      pkt.round = wire_round;
-      pkt.sum = ws.holder_sum[h];
-      pkt.contributors = ws.holder_contrib[h];
-      pkt.encode_into(ws.wire);
+      holder_sum_packet(h).encode_into(ws.wire);
       const std::optional<SumPacket> decoded = SumPacket::decode(ws.wire);
       MPCIOT_ENSURE(decoded.has_value(), "protocol: SumPacket round-trip");
       if (config_.feldman_vss && ws.sum_bad[h] &&
@@ -672,58 +628,25 @@ const AggregationResult& SssProtocol::run_round(
         result.cheater_holders_mask |= (std::uint64_t{1} << h);
         continue;
       }
-      ws.node_mask.push_back(decoded->contributors);
-      ws.node_share.push_back(Share{decoded->holder, decoded->sum});
+      aggregator.accept(*decoded);
     }
-
-    // Pick the consistent group with the most contributors that has
-    // enough points. Fast path: a single contributor set across every
-    // accepted sum. Mixed rounds rebuild the historic hash-map grouping
-    // (same insertion order, hence the same tie-break) so the selected
-    // group is bit-for-bit the one the pre-session engine picked.
-    std::unordered_map<std::uint64_t, std::vector<Share>> groups;
-    const std::vector<Share>* chosen = nullptr;
-    std::uint64_t chosen_mask = 0;
-    bool mixed = false;
-    for (std::size_t i = 1; i < ws.node_mask.size(); ++i) {
-      if (ws.node_mask[i] != ws.node_mask[0]) {
-        mixed = true;
-        break;
-      }
-    }
-    if (!mixed) {
-      if (ws.node_share.size() >= k + 1) {
-        chosen = &ws.node_share;
-        chosen_mask = ws.node_mask[0];
-      }
-    } else {
-      for (std::size_t i = 0; i < ws.node_mask.size(); ++i) {
-        groups[ws.node_mask[i]].push_back(ws.node_share[i]);
-      }
-      for (const auto& [mask, shares] : groups) {
-        if (shares.size() < k + 1) continue;
-        if (chosen == nullptr ||
-            std::popcount(mask) > std::popcount(chosen_mask)) {
-          chosen = &shares;
-          chosen_mask = mask;
-        }
-      }
-    }
-    if (chosen == nullptr) continue;
+    const std::optional<roles::AggregateOutcome> recon_out =
+        aggregator.try_reconstruct();
+    if (!recon_out.has_value()) continue;
 
     out.has_aggregate = true;
-    out.sums_used = static_cast<std::uint32_t>(chosen->size());
-    out.aggregate = reconstruct(*chosen, k, ws.lagrange);
-    out.contributor_mask = chosen_mask;
+    out.sums_used = recon_out->sums_used;
+    out.aggregate = recon_out->aggregate;
+    out.contributor_mask = recon_out->contributor_mask;
     // Correct = covers every live honest source (attackers may or may
     // not land in the aggregate — either is fine as long as the value
     // matches the contributor mask the node ended up with).
     field::Fp61 chosen_expected;
     for (std::size_t s = 0; s < num_sources; ++s) {
-      if ((chosen_mask >> s) & 1) chosen_expected += secrets[s];
+      if ((out.contributor_mask >> s) & 1) chosen_expected += secrets[s];
     }
     out.aggregate_correct =
-        ((chosen_mask & required_mask) == required_mask) &&
+        ((out.contributor_mask & required_mask) == required_mask) &&
         (out.aggregate == chosen_expected);
 
     const std::int32_t done_slot = recon_round.done_slot[node];

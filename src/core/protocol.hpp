@@ -26,6 +26,7 @@
 
 #include "common/types.hpp"
 #include "core/adversary.hpp"
+#include "core/roles.hpp"
 #include "core/shamir.hpp"
 #include "crypto/feldman.hpp"
 #include "crypto/keystore.hpp"
@@ -47,10 +48,9 @@ class HierarchicalProtocol;
 /// instances are constructed once and shared across (possibly
 /// concurrent) trials, so everything that varies per trial rides here:
 /// where the round sits on the trial clock, the trial's time-varying
-/// channel model, and its crash/recover schedule. The deprecated
-/// two-argument run() derives it from the trial's Simulator; all-null
-/// is the static world and reproduces frozen-topology rounds bit for
-/// bit.
+/// channel model, and its crash/recover schedule. Session::run_round
+/// derives it from the trial's Simulator; all-null is the static world
+/// and reproduces frozen-topology rounds bit for bit.
 ///
 /// The session seam (scratch reuse, round/nonce overrides, epoch keys,
 /// the pipelined-campaign timeline) is private: only core::Session and
@@ -133,7 +133,8 @@ struct NodeOutcome {
   /// this is exactly "equals the sum over all live sources".
   bool aggregate_correct = false;
   field::Fp61 aggregate;
-  /// Number of consistent sums the node reconstructed from.
+  /// Point-sums the node interpolated: degree + 1 whenever it has an
+  /// aggregate (roles::AggregatorRole picks them), else 0.
   std::uint32_t sums_used = 0;
   /// Source-list bitmap the node's aggregate covers (bit i = sources[i]).
   std::uint64_t contributor_mask = 0;
@@ -178,9 +179,10 @@ struct AggregationResult {
 };
 
 /// Warm per-round state of the flat engine, owned by a core::Session
-/// (or by a deprecated shim's stack frame). Buffers grow to the round
-/// shape on first use and are reused thereafter: after the warm-up
-/// round, the honest static path performs zero heap allocations.
+/// (or by a HierWorkspace for group batch rounds). Buffers grow to the
+/// round shape on first use and are reused thereafter: after the
+/// warm-up round, the honest static path performs zero heap
+/// allocations.
 struct RoundWorkspace {
   /// holder_pos sentinel: the node is not a share holder this round.
   static constexpr std::uint32_t kNotHolder = 0xFFFFFFFFu;
@@ -210,9 +212,10 @@ struct RoundWorkspace {
   std::vector<std::uint64_t> usable_mask;
   std::size_t recon_threshold = 0;
   Bytes wire;  // packet encode/decode round-trip buffer
-  std::vector<std::uint64_t> node_mask;  // stage 3: accepted sum masks
-  std::vector<Share> node_share;         //   parallel decoded values
-  field::LagrangeScratch lagrange;
+  /// Stage 2's completion oracle and every node's stage-3
+  /// reconstruction, re-armed per use; rebuilt only when the workspace
+  /// moves to a protocol with another spec.
+  std::optional<roles::AggregatorRole> aggregator;
   ct::GlossyConfig sync_cfg;
   ct::MiniCastConfig share_cfg;
   ct::MiniCastConfig recon_cfg;
@@ -220,42 +223,20 @@ struct RoundWorkspace {
 
 class SssProtocol {
  public:
-  /// Preconditions: sources/holders non-empty, ids in range and unique,
-  /// 1 <= degree < sources.size() (degree >= sources would make even the
-  /// all-sources holder set unable to reconstruct), sources <= 64.
+  /// Preconditions: the roles::validate spec invariants (non-empty
+  /// source and holder lists, <= 64 unique sources, unique holders,
+  /// 1 <= degree, degree + 1 <= holders) plus node ids and the
+  /// initiator in range.
   ///
   /// `transport` selects the communication substrate the round runs on
   /// (sync flood + both chain rounds); null means the paper's MiniCast/
   /// Glossy substrate. The transport must outlive the protocol.
+  ///
+  /// Rounds run through core::Session::run_round, which owns the warm
+  /// state, issues monotone round/nonce ids, and rotates key epochs.
   SssProtocol(const net::Topology& topo, const crypto::KeyStore& keys,
               ProtocolConfig config,
               const ct::Transport* transport = nullptr);
-
-  /// Run one aggregation round. secrets[i] belongs to config.sources[i].
-  /// Reads the dynamics environment off `sim` (channel model, liveness,
-  /// start time = sim.now()).
-  ///
-  /// Deprecated: construct a core::Session over this protocol and call
-  /// Session::run_round — it owns the warm state, issues monotone
-  /// round/nonce ids, and rotates key epochs. This shim runs the same
-  /// engine with a cold workspace (byte-identical results).
-  [[deprecated("use core::Session::run_round")]] AggregationResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim) const;
-
-  /// As above with an explicit environment (e.g. a composition layer
-  /// placing the round later on the trial clock, or mapping a parent
-  /// churn schedule onto a subtopology). Under churn, sources that are
-  /// down at round start never deal — they are excluded from the
-  /// expected aggregate like failed_nodes — while nodes that crash
-  /// mid-round simply fall silent: their undelivered shares surface as
-  /// missing contributors and reconstruction falls back to the Shamir
-  /// threshold path (any degree+1 consistent sums). Reported latencies
-  /// stay relative to the round start.
-  ///
-  /// Deprecated: see the two-argument overload.
-  [[deprecated("use core::Session::run_round")]] AggregationResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim,
-      const RoundEnv& env) const;
 
   const ProtocolConfig& config() const { return config_; }
   const ct::Transport& transport() const { return *transport_; }
@@ -265,10 +246,17 @@ class SssProtocol {
   friend class Campaign;
   friend class HierarchicalProtocol;
 
-  /// The engine behind every entry point: one aggregation round into
-  /// `ws` (result returned by reference into ws.result). RNG draws,
-  /// arithmetic and outcomes are identical to the historic run()
-  /// overloads; the workspace only changes where buffers live.
+  /// The engine: one aggregation round into `ws` (result returned by
+  /// reference into ws.result). secrets[i] belongs to config.sources[i].
+  /// `env` places the round on the trial clock and carries the dynamics
+  /// (a composition layer may start it later or map a parent churn
+  /// schedule onto a subtopology). Under churn, sources that are down
+  /// at round start never deal — they are excluded from the expected
+  /// aggregate like failed_nodes — while nodes that crash mid-round
+  /// simply fall silent: their undelivered shares surface as missing
+  /// contributors and reconstruction falls back to the Shamir threshold
+  /// path (any degree+1 consistent sums). Reported latencies stay
+  /// relative to the round start.
   const AggregationResult& run_round(const std::vector<field::Fp61>& secrets,
                                      sim::Simulator& sim, const RoundEnv& env,
                                      RoundWorkspace& ws) const;
@@ -276,6 +264,9 @@ class SssProtocol {
   const net::Topology* topo_;
   const crypto::KeyStore* keys_;
   ProtocolConfig config_;
+  /// The round's sources/holders/degree as the shared roles see them;
+  /// the spec the workspace's AggregatorRole is built from.
+  roles::RoundSpec spec_;
   const ct::Transport* transport_;
   AdversaryEngine engine_;
   ct::SharingSchedule sharing_;        // fixed by config at construction

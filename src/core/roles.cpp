@@ -119,8 +119,23 @@ AggregatorRole::AggregatorRole(const RoundSpec& spec)
       full_mask_(mask_for(spec.sources.size())),
       seen_(spec.holders.size(), 0),
       sums_(spec.holders.size()),
-      masks_(spec.holders.size(), 0) {
+      masks_(spec.holders.size(), 0),
+      by_id_(spec.holders.size()) {
   validate(spec_);
+  // spec.holders is in schedule order, not necessarily sorted by id.
+  for (std::size_t h = 0; h < by_id_.size(); ++h) {
+    by_id_[h] = static_cast<std::uint32_t>(h);
+  }
+  std::sort(by_id_.begin(), by_id_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return spec_.holders[a] < spec_.holders[b];
+            });
+  picked_.reserve(spec_.degree + 1);
+}
+
+void AggregatorRole::reset(std::uint16_t round) {
+  spec_.round = round;
+  std::fill(seen_.begin(), seen_.end(), 0);
 }
 
 bool AggregatorRole::accept(const SumPacket& pkt) {
@@ -150,11 +165,11 @@ bool AggregatorRole::full_mask_threshold() const {
   return n >= spec_.degree + 1;
 }
 
-std::optional<AggregateOutcome> AggregatorRole::try_reconstruct() const {
-  // Pick the winning mask: maximal popcount, then maximal count of sums
-  // carrying it, then numerically smallest. Holder lists are <= a group,
-  // so the quadratic scan is cheap and allocation-light.
-  std::uint64_t best_mask = 0;
+std::optional<std::uint64_t> AggregatorRole::best_mask() const {
+  // Maximal popcount, then maximal count of sums carrying the mask, then
+  // numerically smallest. Holder lists are <= a group, so the quadratic
+  // scan is cheap and allocation-free.
+  std::optional<std::uint64_t> best;
   std::size_t best_count = 0;
   int best_pop = -1;
   for (std::size_t h = 0; h < seen_.size(); ++h) {
@@ -167,33 +182,30 @@ std::optional<AggregateOutcome> AggregatorRole::try_reconstruct() const {
     if (count < spec_.degree + 1) continue;
     const int pop = std::popcount(m);
     if (pop > best_pop || (pop == best_pop && count > best_count) ||
-        (pop == best_pop && count == best_count && m < best_mask)) {
-      best_mask = m;
+        (pop == best_pop && count == best_count && m < *best)) {
+      best = m;
       best_count = count;
       best_pop = pop;
     }
   }
-  if (best_pop < 0) return std::nullopt;
+  return best;
+}
 
+std::optional<AggregateOutcome> AggregatorRole::try_reconstruct() {
+  const std::optional<std::uint64_t> mask = best_mask();
+  if (!mask.has_value()) return std::nullopt;
   // Interpolate the degree+1 sums of the winning mask with the smallest
-  // holder ids: spec.holders is not necessarily sorted, so order by id.
-  std::vector<std::size_t> idx;
-  for (std::size_t h = 0; h < seen_.size(); ++h) {
-    if (seen_[h] && masks_[h] == best_mask) idx.push_back(h);
-  }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return spec_.holders[a] < spec_.holders[b];
-  });
-  idx.resize(spec_.degree + 1);
-  std::vector<Share> shares;
-  shares.reserve(idx.size());
-  for (const std::size_t h : idx) {
-    shares.push_back(Share{spec_.holders[h], sums_[h]});
+  // holder ids.
+  picked_.clear();
+  for (const std::uint32_t h : by_id_) {
+    if (!seen_[h] || masks_[h] != *mask) continue;
+    picked_.push_back(Share{spec_.holders[h], sums_[h]});
+    if (picked_.size() == spec_.degree + 1) break;
   }
   AggregateOutcome out;
-  out.aggregate = reconstruct(shares, spec_.degree);
-  out.contributor_mask = best_mask;
-  out.sums_used = static_cast<std::uint32_t>(idx.size());
+  out.aggregate = reconstruct(picked_, spec_.degree, lagrange_);
+  out.contributor_mask = *mask;
+  out.sums_used = static_cast<std::uint32_t>(picked_.size());
   return out;
 }
 

@@ -12,6 +12,12 @@
 //                       contributor mask, Lagrange-reconstruct the
 //                       aggregate at x = 0.
 //
+// AggregatorRole is the only mask-selection and reconstruction code in
+// the library: SssProtocol's completion oracle and per-node
+// reconstruction, the unicast baseline and the rt coordinator all run
+// it, so the simulator and the socket runtime share one rule by
+// construction.
+//
 // Reconstruction over any degree+1 sums with identical contributor
 // masks yields the same field element (exact arithmetic over points of
 // one polynomial), so the aggregate value is independent of message
@@ -29,6 +35,7 @@
 #include "crypto/keystore.hpp"
 #include "crypto/prng.hpp"
 #include "field/fp61.hpp"
+#include "field/lagrange.hpp"
 
 namespace mpciot::core::roles {
 
@@ -127,24 +134,37 @@ class AggregatorRole {
  public:
   explicit AggregatorRole(const RoundSpec& spec);
 
+  /// Re-arm for another round of the same spec: forget every accepted
+  /// sum and expect `round` on the wire. Buffers are kept, so a warm
+  /// aggregator re-arms and reconstructs without touching the heap.
+  void reset(std::uint16_t round);
+
   /// Accept one point-sum. Returns false on a reject: wrong round,
-  /// unknown holder, a mask with bits beyond the source list, or a
-  /// duplicate holder (first packet wins).
+  /// unknown holder, an empty mask (a holder that heard no share), a
+  /// mask with bits beyond the source list, or a duplicate holder
+  /// (first packet wins).
   bool accept(const SumPacket& pkt);
 
   std::uint32_t sums_received() const;
+
+  /// The all-sources contributor mask of the spec.
+  std::uint64_t full_mask() const { return full_mask_; }
 
   /// True iff >= degree+1 sums carry the full all-sources mask (the
   /// no-failure fast path: reconstruction cannot improve further).
   bool full_mask_threshold() const;
 
-  /// Reconstruct from the best mask having >= degree+1 identical-mask
-  /// sums: maximal popcount, then maximal sum count, then numerically
-  /// smallest mask; the degree+1 sums of the winning mask with the
-  /// smallest holder ids are interpolated, making the outcome (value
-  /// AND bookkeeping) independent of arrival order. nullopt while no
-  /// mask reaches the threshold.
-  std::optional<AggregateOutcome> try_reconstruct() const;
+  /// The winning mask among those carried by >= degree+1 accepted sums:
+  /// maximal popcount, then maximal sum count, then numerically
+  /// smallest. nullopt while no mask reaches the threshold. Selection
+  /// only — nothing is interpolated.
+  std::optional<std::uint64_t> best_mask() const;
+
+  /// Reconstruct from best_mask(): the degree+1 sums of the winning
+  /// mask with the smallest holder ids are interpolated, making the
+  /// outcome (value AND bookkeeping) independent of arrival order.
+  /// nullopt while no mask reaches the threshold.
+  std::optional<AggregateOutcome> try_reconstruct();
 
   const RoundSpec& spec() const { return spec_; }
 
@@ -154,6 +174,9 @@ class AggregatorRole {
   std::vector<char> seen_;          // per holder index
   std::vector<field::Fp61> sums_;   // per holder index
   std::vector<std::uint64_t> masks_;
+  std::vector<std::uint32_t> by_id_;  // holder indices, ascending node id
+  std::vector<Share> picked_;         // the sums being interpolated
+  field::LagrangeScratch lagrange_;
 };
 
 }  // namespace mpciot::core::roles

@@ -3,8 +3,8 @@
 //
 // A protocol object — flat SssProtocol or HierarchicalProtocol — is a
 // pure description: topology, participant lists, NTX tuning. Running a
-// round, however, has state the old run() overloads pushed onto every
-// caller: the round/nonce counter feeding the AES-CTR nonces, the key
+// round, however, has state that must not be pushed onto every caller:
+// the round/nonce counter feeding the AES-CTR nonces, the key
 // epoch that must rotate before the 16-bit wire-round window wraps, and
 // the warm buffers that make back-to-back rounds allocation-free. A
 // Session owns all of it:

@@ -10,7 +10,7 @@
 //     bounded inputs, caller's responsibility to range-check;
 //   * 2-byte shares leak nothing extra (the scheme is still perfectly
 //     hiding below the threshold — field size only bounds payload).
-// bench_payload_size quantifies the airtime win.
+// The payload_size bench scenario quantifies the airtime win.
 #pragma once
 
 #include <cstdint>

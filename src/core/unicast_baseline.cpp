@@ -1,10 +1,11 @@
 #include "core/unicast_baseline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
-#include <unordered_map>
 
 #include "common/assert.hpp"
+#include "core/roles.hpp"
 #include "core/wire.hpp"
 #include "ct/chain_schedule.hpp"
 #include "ct/transport.hpp"
@@ -143,35 +144,35 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
         params.idle_duty_cycle * static_cast<double>(result.total_duration_us));
   }
 
-  // Per-node reconstruction, grouped by contributor mask like the CT path.
-  const std::uint64_t full_mask =
-      num_sources == 64 ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << num_sources) - 1);
+  // Per-node reconstruction through the CT path's rule.
+  const auto wire_round = static_cast<std::uint16_t>(config.round & 0xFFFFu);
+  roles::AggregatorRole aggregator(
+      roles::RoundSpec{config.sources, config.share_holders, k, wire_round});
   for (NodeId node = 0; node < n; ++node) {
-    std::unordered_map<std::uint64_t, std::vector<Share>> groups;
+    aggregator.reset(wire_round);
     for (std::size_t h = 0; h < num_holders; ++h) {
       const bool own = (config.share_holders[h] == node);
       if (!own && !recon_round.node_has(node, h)) continue;
-      groups[holder_mask[h]].push_back(
-          Share{config.share_holders[h], holder_sum[h]});
-    }
-    const std::vector<Share>* chosen = nullptr;
-    std::uint64_t chosen_mask = 0;
-    for (const auto& [mask, shares] : groups) {
-      if (shares.size() < k + 1) continue;
-      if (chosen == nullptr || mask == full_mask) {
-        chosen = &shares;
-        chosen_mask = mask;
-      }
+      SumPacket pkt;
+      pkt.holder = config.share_holders[h];
+      pkt.contribution_count =
+          static_cast<std::uint8_t>(std::popcount(holder_mask[h]));
+      pkt.round = wire_round;
+      pkt.sum = holder_sum[h];
+      pkt.contributors = holder_mask[h];
+      aggregator.accept(pkt);
     }
     NodeOutcome& out = result.nodes[node];
     out.radio_on_us = result.radio_on_us[node];
-    if (chosen == nullptr) continue;
+    const std::optional<roles::AggregateOutcome> agg =
+        aggregator.try_reconstruct();
+    if (!agg.has_value()) continue;
     out.has_aggregate = true;
-    out.sums_used = static_cast<std::uint32_t>(chosen->size());
-    out.aggregate = reconstruct(*chosen, k);
-    out.aggregate_correct =
-        (chosen_mask == full_mask) && (out.aggregate == expected_sum);
+    out.sums_used = agg->sums_used;
+    out.aggregate = agg->aggregate;
+    out.contributor_mask = agg->contributor_mask;
+    out.aggregate_correct = (agg->contributor_mask == aggregator.full_mask()) &&
+                            (agg->aggregate == expected_sum);
     out.latency_us = result.total_duration_us;
   }
   return result;

@@ -9,8 +9,8 @@
 //   Add(c1,c2) = c1*c2 mod n^2  (ciphertext product = plaintext sum)
 //
 // Key sizes here (256-2048 bit n) are a *benchmark knob*, not a security
-// recommendation; bench_he_vs_mpc sweeps them to chart the compute gap
-// versus Shamir shares.
+// recommendation; the he_vs_mpc bench scenario sweeps them to chart the
+// compute gap versus Shamir shares.
 #pragma once
 
 #include <cstdint>

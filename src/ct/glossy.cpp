@@ -17,30 +17,10 @@ double GlossyResult::coverage() const {
 
 GlossyResult run_glossy(const net::Topology& topo, const GlossyConfig& config,
                         crypto::Xoshiro256& rng, RoundContext* scratch) {
-  MiniCastConfig mc;
-  mc.initiator = config.initiator;
-  mc.channel = config.channel;
-  mc.ntx = config.ntx;
-  mc.payload_bytes = config.payload_bytes;
-  mc.max_chain_slots = config.max_slots;
-  mc.radio_policy = RadioPolicy::kUntilQuiescence;
-  mc.start_time_us = config.start_time_us;
-  mc.channel_model = config.channel_model;
-  mc.liveness = config.liveness;
-
-  const std::vector<ChainEntry> entries{ChainEntry{config.initiator}};
-  const MiniCastResult r = scratch != nullptr
-                               ? run_minicast(topo, entries, mc, rng, *scratch)
-                               : run_minicast(topo, entries, mc, rng);
-
+  RoundContext local;
   GlossyResult out;
-  out.first_rx_slot.reserve(r.rx_slot.size());
-  for (const auto& row : r.rx_slot) out.first_rx_slot.push_back(row[0]);
-  out.tx_count = r.tx_count;
-  out.radio_on_us = r.radio_on_us;
-  out.slots_used = r.chain_slots_used;
-  out.duration_us = r.duration_us;
-  out.channel = r.channel;
+  run_glossy_into(topo, config, rng, scratch != nullptr ? *scratch : local,
+                  out);
   return out;
 }
 

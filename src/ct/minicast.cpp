@@ -80,13 +80,6 @@ MiniCastResult run_minicast(const net::Topology& topo,
                             const MiniCastConfig& config,
                             crypto::Xoshiro256& rng) {
   RoundContext scratch;
-  return run_minicast(topo, entries, config, rng, scratch);
-}
-
-MiniCastResult run_minicast(const net::Topology& topo,
-                            const std::vector<ChainEntry>& entries,
-                            const MiniCastConfig& config,
-                            crypto::Xoshiro256& rng, RoundContext& scratch) {
   MiniCastResult result;
   run_minicast_into(topo, entries, config, rng, scratch, result);
   return result;

@@ -215,15 +215,10 @@ MiniCastResult run_minicast(const net::Topology& topo,
                             const MiniCastConfig& config,
                             crypto::Xoshiro256& rng);
 
-/// As above, reusing caller-owned scratch across rounds.
-MiniCastResult run_minicast(const net::Topology& topo,
-                            const std::vector<ChainEntry>& entries,
-                            const MiniCastConfig& config,
-                            crypto::Xoshiro256& rng, RoundContext& scratch);
-
-/// As above, writing into a caller-owned result whose buffers are reused
-/// across rounds — the steady-state entry point: after the first round
-/// on a given shape, no heap allocation is performed.
+/// As above, reusing caller-owned scratch across rounds and writing into
+/// a caller-owned result whose buffers are reused too — the steady-state
+/// entry point: after the first round on a given shape, no heap
+/// allocation is performed.
 void run_minicast_into(const net::Topology& topo,
                        const std::vector<ChainEntry>& entries,
                        const MiniCastConfig& config, crypto::Xoshiro256& rng,

@@ -31,10 +31,10 @@ class MiniCastTransport : public Transport {
                              const MiniCastConfig& config,
                              crypto::Xoshiro256& rng,
                              RoundContext* scratch) const override {
-    if (scratch != nullptr) {
-      return run_minicast(topo, entries, config, rng, *scratch);
-    }
-    return run_minicast(topo, entries, config, rng);
+    if (scratch == nullptr) return run_minicast(topo, entries, config, rng);
+    MiniCastResult out;
+    run_minicast_into(topo, entries, config, rng, *scratch, out);
+    return out;
   }
 
   void flood_into(const net::Topology& topo, const GlossyConfig& config,
@@ -114,6 +114,8 @@ class GlossyFloodsTransport : public Transport {
 
     RoundContext local;
     RoundContext& ctx = scratch != nullptr ? *scratch : local;
+    std::vector<ChainEntry> one(1);
+    MiniCastResult sub;
     std::uint32_t slots_so_far = 0;
     for (std::size_t e = 0; e < num_entries; ++e) {
       MiniCastConfig flood_cfg;
@@ -130,9 +132,9 @@ class GlossyFloodsTransport : public Transport {
       flood_cfg.channel_model = config.channel_model;
       flood_cfg.liveness = config.liveness;
       // A dead origin's flood never starts (its entry is simply lost);
-      // run_minicast quiesces immediately without consuming randomness.
-      const std::vector<ChainEntry> one{ChainEntry{entries[e].origin}};
-      const MiniCastResult sub = run_minicast(topo, one, flood_cfg, rng, ctx);
+      // the chain engine quiesces immediately without consuming randomness.
+      one[0] = ChainEntry{entries[e].origin};
+      run_minicast_into(topo, one, flood_cfg, rng, ctx, sub);
 
       for (NodeId r = 0; r < n; ++r) {
         if (sub.rx_slot[r][0] >= 0) {

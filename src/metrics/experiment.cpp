@@ -38,8 +38,7 @@ TrialRecord run_one_trial(const core::SssProtocol& protocol,
           : random_secrets(trial_secret_seed(spec.base_seed, trial),
                            source_count);
   // Fresh per-trial session: trials are independent streams, so each
-  // starts at round 0 with cold warm-state — byte-identical to the
-  // retired per-trial SssProtocol::run shim.
+  // starts at round 0 with a cold workspace.
   core::Session session(protocol);
   const core::AggregationResult& res = *session.run_round(secrets, sim).flat;
 

@@ -18,7 +18,10 @@ Coordinator::Coordinator(const CoordinatorConfig& config)
       reported_(config.node_count, 0) {
   MPCIOT_REQUIRE(config_.rounds >= 1 && config_.rounds <= 0xFFFF,
                  "coordinator: rounds must fit the u16 wire round");
-  aggregators_.resize(plan_.groups.size());
+  aggregators_.reserve(plan_.groups.size());
+  for (const core::roles::RoundSpec& group : plan_.groups) {
+    aggregators_.emplace_back(group);
+  }
   group_final_.assign(plan_.groups.size(), 0);
   group_outcome_.resize(plan_.groups.size());
 }
@@ -26,13 +29,6 @@ Coordinator::Coordinator(const CoordinatorConfig& config)
 std::uint16_t Coordinator::bind() {
   port_ = loop_.listen_local(config_.port);
   return port_;
-}
-
-core::roles::RoundSpec Coordinator::spec_for_round(
-    std::uint32_t group) const {
-  core::roles::RoundSpec spec = plan_.groups[group];
-  spec.round = static_cast<std::uint16_t>(round_);
-  return spec;
 }
 
 int Coordinator::run(std::ostream* progress) {
@@ -145,7 +141,7 @@ void Coordinator::start_campaign() {
 
 void Coordinator::start_round() {
   for (std::uint32_t g = 0; g < plan_.groups.size(); ++g) {
-    aggregators_[g].emplace(spec_for_round(g));
+    aggregators_[g].reset(static_cast<std::uint16_t>(round_));
     group_final_[g] = 0;
     group_outcome_[g].reset();
   }
@@ -181,8 +177,8 @@ void Coordinator::on_sum_report(std::uint64_t conn, const SumReport& msg) {
   const auto pkt = core::SumPacket::decode(msg.packet);
   if (!pkt.has_value() || pkt->holder != node) return;
   const std::uint32_t group = plan_.group_of[node];
-  if (group_final_[group] || !aggregators_[group].has_value()) return;
-  if (aggregators_[group]->accept(*pkt)) {
+  if (group_final_[group]) return;
+  if (aggregators_[group].accept(*pkt)) {
     reported_[node] = 1;
     maybe_finalize_early(group);
   }
@@ -195,7 +191,7 @@ void Coordinator::maybe_finalize_early(std::uint32_t group) {
   // maximum coverage and the value is the same for any threshold
   // subset; (b) every still-connected holder has reported — no further
   // report can arrive before T2.
-  bool ready = aggregators_[group]->full_mask_threshold();
+  bool ready = aggregators_[group].full_mask_threshold();
   if (!ready) {
     ready = true;
     for (const NodeId holder : plan_.groups[group].holders) {
@@ -206,7 +202,7 @@ void Coordinator::maybe_finalize_early(std::uint32_t group) {
     }
   }
   if (!ready) return;
-  const auto out = aggregators_[group]->try_reconstruct();
+  const auto out = aggregators_[group].try_reconstruct();
   if (!out.has_value()) return;  // below threshold; T2 records the loss
   GroupOutcome outcome;
   outcome.aggregate = out->aggregate.value();
@@ -253,7 +249,7 @@ void Coordinator::finalize_round() {
   for (std::uint32_t g = 0; g < plan_.groups.size(); ++g) {
     if (!group_final_[g]) {
       // T2 best effort: reconstruct from whatever reported.
-      const auto out = aggregators_[g]->try_reconstruct();
+      const auto out = aggregators_[g].try_reconstruct();
       if (out.has_value()) {
         GroupOutcome go;
         go.aggregate = out->aggregate.value();
@@ -275,10 +271,9 @@ void Coordinator::finalize_round() {
                                plan_.groups[g], go->contributor_mask);
       outcome.contributors += static_cast<std::uint32_t>(
           std::popcount(go->contributor_mask));
-      const std::size_t n = plan_.groups[g].sources.size();
-      const std::uint64_t full =
-          n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-      if (go->contributor_mask != full) outcome.full_coverage = false;
+      if (go->contributor_mask != aggregators_[g].full_mask()) {
+        outcome.full_coverage = false;
+      }
     } else {
       outcome.groups.push_back(GroupOutcome{});
       outcome.ok = false;

@@ -105,8 +105,6 @@ class Coordinator {
   void finish_campaign();
   void build_report();
 
-  core::roles::RoundSpec spec_for_round(std::uint32_t group) const;
-
   CoordinatorConfig config_;
   DeploymentPlan plan_;
   EventLoop loop_;
@@ -120,7 +118,8 @@ class Coordinator {
   std::vector<char> crashed_;  ///< per node
 
   std::uint32_t round_ = 0;
-  std::vector<std::optional<core::roles::AggregatorRole>> aggregators_;
+  /// One per group, built once and re-armed every round.
+  std::vector<core::roles::AggregatorRole> aggregators_;
   std::vector<char> group_final_;
   std::vector<std::optional<GroupOutcome>> group_outcome_;
   std::vector<char> reported_;  ///< per node, this round

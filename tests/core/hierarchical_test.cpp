@@ -377,38 +377,6 @@ TEST(Hierarchical, NodeChurnRunsAreDeterministicAndConsistent) {
   EXPECT_LE(sr, 1.0);
 }
 
-TEST(Hierarchical, DeprecatedRunShimsMatchTheSessionApiExactly) {
-  // Both retired run() overloads are thin shims over Session::run_round:
-  // the same seed must give the same round, bit for bit, through all
-  // three entry points.
-  const net::Topology topo = lossless_grid16();
-  const std::vector<Fp61> secrets = secrets_1_to_n(topo.size());
-  core::HierarchicalConfig cfg_a;
-  cfg_a.partition = net::partition::grid_blocks(topo, 4);
-  cfg_a.num_channels = 2;
-  core::HierarchicalConfig cfg_b = cfg_a;
-  const HierarchicalProtocol a(topo, std::move(cfg_a));
-  const HierarchicalProtocol b(topo, std::move(cfg_b));
-  sim::Simulator sim_a(23);
-  sim::Simulator sim_b(23);
-  sim::Simulator sim_c(23);
-  const HierarchicalResult rs = session_round(a, secrets, sim_c);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const HierarchicalResult ra = a.run(secrets, sim_a);
-  const HierarchicalResult rb = b.run(secrets, sim_b, RoundEnv{});
-#pragma GCC diagnostic pop
-  for (const HierarchicalResult* other : {&ra, &rb}) {
-    EXPECT_EQ(rs.aggregate.value(), other->aggregate.value());
-    EXPECT_EQ(rs.total_duration_us, other->total_duration_us);
-    EXPECT_EQ(rs.radio_on_us, other->radio_on_us);
-    EXPECT_EQ(rs.latency_us, other->latency_us);
-    EXPECT_EQ(rs.has_result, other->has_result);
-  }
-  EXPECT_EQ(ra.leader_reelections, 0u);
-  EXPECT_EQ(rb.leader_reelections, 0u);
-}
-
 TEST(Hierarchical, RadioOnAndLatencyAreReported) {
   const net::Topology topo = lossless_grid16();
   const std::vector<Fp61> secrets = secrets_1_to_n(topo.size());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/assert.hpp"
 #include "ct/transport.hpp"
 #include "metrics/experiment.hpp"
@@ -255,6 +257,47 @@ TEST(ProtocolRun, ChurnedSourceIsAMissingShareNotARoundKiller) {
   EXPECT_EQ(res.nodes[0].aggregate, expected);
   EXPECT_TRUE(res.nodes[0].aggregate_correct);
   EXPECT_GE(res.success_ratio(), 0.99);
+}
+
+TEST(ProtocolRun, EmptyMaskSumsNeverReconstruct) {
+  // Holders 5, 6, 7 are no sources and stay down until the
+  // reconstruction phase starts: they hear no share and then broadcast
+  // point-sums with an empty contributor mask. That trio is the only
+  // group of degree+1 identical masks (holder 0 carries the sources'
+  // mask alone), and an empty mask covers no secret, so no node may
+  // report an aggregate from it.
+  struct DownUntil final : net::LivenessModel {
+    SimTime until_us = 0;
+    bool is_down(NodeId node, SimTime t) const override {
+      return t < until_us && node >= 5 && node <= 7;
+    }
+  };
+  const net::Topology topo = make_grid9();
+  const crypto::KeyStore keys(1, topo.size());
+  ProtocolConfig cfg;
+  cfg.sources = {0, 1};
+  cfg.share_holders = {0, 5, 6, 7};
+  cfg.degree = 1;
+  cfg.initiator = topo.center_node();
+  const SssProtocol proto(topo, keys, cfg);
+  const auto secrets = fixed_secrets(2);
+
+  // Probe with the trio down all round: the sharing phase it sees is the
+  // one the real run replays, so its end is where the trio comes up.
+  DownUntil churn;
+  churn.until_us = std::numeric_limits<SimTime>::max();
+  sim::Simulator probe_sim(19);
+  probe_sim.set_liveness(&churn);
+  const AggregationResult probe = session_round(proto, secrets, probe_sim);
+  churn.until_us = probe.sync_duration_us + probe.sharing_duration_us;
+
+  sim::Simulator sim(19);
+  sim.set_liveness(&churn);
+  const AggregationResult res = session_round(proto, secrets, sim);
+  ASSERT_EQ(res.sharing_duration_us, probe.sharing_duration_us);
+  for (NodeId node = 0; node < topo.size(); ++node) {
+    EXPECT_FALSE(res.nodes[node].has_aggregate) << "node " << node;
+  }
 }
 
 TEST(ProtocolRun, S4SurvivesHolderFailure) {
@@ -524,37 +567,6 @@ TEST(ProtocolAdversary, JammerDegradesDeliveryAcrossTransports) {
     // No crypto-layer detection for an availability attack.
     EXPECT_EQ(b.cheater_sources_mask, 0u) << name;
     EXPECT_EQ(b.shares_rejected, 0u) << name;
-  }
-}
-
-
-TEST(SessionMigration, DeprecatedRunShimMatchesSessionByteForByte) {
-  // The retired SssProtocol::run overloads are thin shims over
-  // Session::run_round; one round through each must be bit-identical.
-  const net::Topology topo = make_grid9();
-  const crypto::KeyStore keys(1, topo.size());
-  const auto sources = all_nodes(topo);
-  const SssProtocol s4(topo, keys, make_s4_config(topo, sources, 2, 5));
-  const auto secrets = fixed_secrets(sources.size());
-  sim::Simulator sim1(41);
-  sim::Simulator sim2(41);
-  sim::Simulator sim3(41);
-  const AggregationResult via_session = session_round(s4, secrets, sim1);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const AggregationResult via_shim = s4.run(secrets, sim2);
-  const AggregationResult via_env_shim = s4.run(secrets, sim3, RoundEnv{});
-#pragma GCC diagnostic pop
-  for (const AggregationResult* other : {&via_shim, &via_env_shim}) {
-    EXPECT_EQ(via_session.total_duration_us, other->total_duration_us);
-    EXPECT_EQ(via_session.share_delivery_ratio, other->share_delivery_ratio);
-    ASSERT_EQ(via_session.nodes.size(), other->nodes.size());
-    for (std::size_t i = 0; i < via_session.nodes.size(); ++i) {
-      EXPECT_EQ(via_session.nodes[i].latency_us, other->nodes[i].latency_us);
-      EXPECT_EQ(via_session.nodes[i].radio_on_us,
-                other->nodes[i].radio_on_us);
-      EXPECT_EQ(via_session.nodes[i].aggregate, other->nodes[i].aggregate);
-    }
   }
 }
 

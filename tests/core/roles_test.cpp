@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -188,8 +191,101 @@ TEST(Roles, AggregatorRejectsBadSumsAndKeepsFirstPerHolder) {
   pkt.contribution_count = 5;
   pkt.contributors = 0b10011;  // bit beyond the 4-source list
   EXPECT_FALSE(agg.accept(pkt));
+  pkt.contribution_count = 0;
+  pkt.contributors = 0;  // empty mask: the holder heard no share
+  EXPECT_FALSE(agg.accept(pkt));
   EXPECT_EQ(agg.sums_received(), 1u);
   EXPECT_FALSE(agg.try_reconstruct().has_value());  // below threshold
+}
+
+SumPacket sum_packet(NodeId holder, std::uint64_t mask, std::uint16_t round,
+                     Fp61 sum) {
+  SumPacket pkt;
+  pkt.holder = holder;
+  pkt.contribution_count = static_cast<std::uint8_t>(std::popcount(mask));
+  pkt.round = round;
+  pkt.sum = sum;
+  pkt.contributors = mask;
+  return pkt;
+}
+
+/// Accepts `pkts` into a fresh aggregator in every possible order and
+/// checks that each order picks `want_mask` and reconstructs the same
+/// value from the same degree+1 sums.
+void expect_order_independent_choice(const RoundSpec& spec,
+                                     const std::vector<SumPacket>& pkts,
+                                     std::uint64_t want_mask) {
+  std::vector<std::size_t> order(pkts.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::optional<Fp61> first_value;
+  do {
+    AggregatorRole agg(spec);
+    for (const std::size_t i : order) ASSERT_TRUE(agg.accept(pkts[i]));
+    ASSERT_EQ(agg.best_mask(), want_mask);
+    const auto out = agg.try_reconstruct();
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->contributor_mask, want_mask);
+    EXPECT_EQ(out->sums_used, spec.degree + 1);
+    if (!first_value.has_value()) first_value = out->aggregate;
+    EXPECT_EQ(out->aggregate, *first_value);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(Roles, EqualWidthMasksTieBreakOnCountThenValue) {
+  // Degree 1: two sums reach the threshold. 0b0011 and 0b0101 are
+  // equally wide, so the one more holders carry wins; on equal counts
+  // the numerically smaller mask wins — whatever the arrival order.
+  const RoundSpec spec = make_spec(6, 1, 2);
+  expect_order_independent_choice(
+      spec,
+      {sum_packet(0, 0b0011, 2, Fp61{11}), sum_packet(1, 0b0011, 2, Fp61{12}),
+       sum_packet(2, 0b0101, 2, Fp61{13}), sum_packet(3, 0b0101, 2, Fp61{14}),
+       sum_packet(4, 0b0101, 2, Fp61{15})},
+      0b0101);
+  expect_order_independent_choice(
+      spec,
+      {sum_packet(0, 0b0101, 2, Fp61{21}), sum_packet(1, 0b0011, 2, Fp61{22}),
+       sum_packet(2, 0b0101, 2, Fp61{23}), sum_packet(3, 0b0011, 2, Fp61{24})},
+      0b0011);
+}
+
+TEST(Roles, RearmedAggregatorMatchesAFreshOneAcrossRounds) {
+  const RoundSpec base = make_spec(5, 2, 0);
+  AggregatorRole warm(base);
+  crypto::Xoshiro256 rng(crypto::derive_seed(kSeed, 8, 0));
+  std::vector<SumPacket> previous;
+  for (std::uint16_t round = 0; round < 4; ++round) {
+    warm.reset(round);
+    // Last round's packets are stale now.
+    for (const SumPacket& pkt : previous) EXPECT_FALSE(warm.accept(pkt));
+    EXPECT_EQ(warm.sums_received(), 0u);
+
+    RoundSpec spec = base;
+    spec.round = round;
+    AggregatorRole fresh(spec);
+    // Mixed masks: four full sums win on even rounds; on odd rounds only
+    // two are full and the reduced-mask trio wins.
+    previous.clear();
+    for (NodeId h = 0; h < 5; ++h) {
+      const bool full = (round % 2 == 0) ? h < 4 : h < 2;
+      previous.push_back(
+          sum_packet(h, full ? 0b11111 : 0b01111, round, rng.next_fp61()));
+    }
+    for (const SumPacket& pkt : previous) {
+      EXPECT_EQ(warm.accept(pkt), fresh.accept(pkt));
+    }
+    EXPECT_EQ(warm.sums_received(), fresh.sums_received());
+    EXPECT_EQ(warm.full_mask_threshold(), fresh.full_mask_threshold());
+    EXPECT_EQ(warm.best_mask(), fresh.best_mask());
+    const auto a = warm.try_reconstruct();
+    const auto b = fresh.try_reconstruct();
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (a.has_value()) {
+      EXPECT_EQ(a->aggregate, b->aggregate);
+      EXPECT_EQ(a->contributor_mask, b->contributor_mask);
+      EXPECT_EQ(a->sums_used, b->sums_used);
+    }
+  }
 }
 
 TEST(Roles, ReducedButConsistentMaskWinsOverFragmentedFullMasks) {

@@ -206,6 +206,17 @@ TEST(Distributed, RepeatRunsEmitByteIdenticalJson) {
   ASSERT_EQ(second.coordinator_exit, 0);
   EXPECT_FALSE(first.json.empty());
   EXPECT_EQ(first.json, second.json);
+
+  // The report is also pinned across revisions: the coordinator's
+  // reconstruction rule and report schema must not drift silently.
+  std::ifstream golden(MPCIOT_RT_GOLDEN);
+  ASSERT_TRUE(golden) << MPCIOT_RT_GOLDEN;
+  std::ostringstream pinned;
+  pinned << golden.rdbuf();
+  EXPECT_EQ(first.json, pinned.str())
+      << "if intentional, regenerate with: tools/distributed_launch.py "
+         "--nodes 16 --rounds 2 --seed 48879 --out "
+      << MPCIOT_RT_GOLDEN;
 }
 
 TEST(Distributed, NodeKilledMidRoundRecoversViaThreshold) {

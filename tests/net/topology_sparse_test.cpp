@@ -167,7 +167,8 @@ TEST(TopologySparse, DenseOnlyAccessorsRejectSparseTier) {
       found_unstored = true;
     }
   }
-  if (found_unstored) EXPECT_EQ(floor_rssi, -200.0);
+  ASSERT_TRUE(found_unstored);
+  EXPECT_EQ(floor_rssi, -200.0);
 }
 
 TEST(TopologySparse, AutoTierSelectsBySize) {
