@@ -343,8 +343,11 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   ct::ChannelTimeline& timeline = pipelined ? *ext : ws.local_timeline;
   // One scratch context for the whole trial: every group round and
   // recombination/result flood reuses its buffers, and with a channel
-  // model the epoch-walked view continues across the rounds that share
-  // a topology instead of replaying the dynamics chain from epoch 0.
+  // model its view keeps one epoch walk per topology (each group's and
+  // the root's), so every round continues each topology's walk where
+  // the last one on it stopped instead of replaying the dynamics chain
+  // from epoch 0. The topologies are this protocol's own, so they
+  // outlive the scratch's rounds.
   ct::RoundContext* const trial_scratch =
       env.scratch != nullptr ? env.scratch : &ws.scratch;
   // Deputies per group: members that reconstructed every accepted batch

@@ -72,9 +72,9 @@ struct RoundEnv {
   static constexpr std::uint32_t kInheritRound = 0xFFFFFFFFu;
 
   /// Caller-owned scratch shared across the trial's rounds: buffers are
-  /// reused and, with a channel model, the epoch-walked ChannelView
-  /// continues from round to round instead of replaying the dynamics
-  /// chain from epoch 0 (see ct::RoundContext).
+  /// reused and, with a channel model, the ChannelView continues each
+  /// topology's epoch walk from round to round instead of replaying the
+  /// dynamics chain from epoch 0 (see ct::RoundContext).
   ct::RoundContext* scratch = nullptr;
   /// Session round override (keys nonces and dealer DRBG streams).
   std::uint32_t round = kInheritRound;

@@ -188,7 +188,10 @@ struct MiniCastResult {
 
 /// Reusable scratch for the chain engine. One context serves any number
 /// of sequential rounds over any topologies; buffers grow to the largest
-/// round seen and are reused thereafter.
+/// round seen and are reused thereafter. With a channel model, its view
+/// keeps one epoch walk per topology (see net::ChannelView), so rounds
+/// that alternate topologies each continue their own topology's walk;
+/// a topology bound under a model must outlive the context.
 struct RoundContext {
   std::vector<std::uint64_t> have;           // n x entry-words bitmaps
   std::vector<std::uint64_t> entry_senders;  // node-words: current sub-slot

@@ -14,10 +14,11 @@
 //    simulated time. A down node's radio is silent: it neither transmits
 //    nor receives, and is charged no radio-on time while down.
 //
-// Model instances are const and thread-safe; all evolving per-round
-// state lives in a `ChannelView`, the per-round cursor the CT hot path
-// reads. The view caches one epoch's materialized tables (receiver-major
-// PRR rows + audibility bitmaps, mirroring Topology's layout) and
+// Model instances are const and thread-safe; all evolving state lives in
+// a `ChannelView`, the cursor the CT hot path reads. The view keeps one
+// walked epoch chain per topology it has been bound to under a model,
+// caches the current epoch's materialized tables (receiver-major PRR
+// rows + audibility bitmaps, mirroring Topology's layout) and
 // re-materializes only when the epoch advances, so the bitmap hot loop
 // keeps its contiguous-row reads regardless of the model.
 #pragma once
@@ -33,7 +34,8 @@ namespace mpciot::net {
 
 /// Materialized link tables for one dynamics epoch, plus the opaque
 /// model state the epoch chain is walked with. Owned by a ChannelView
-/// (one per concurrent round), never by the shared model instance.
+/// (one per topology the view was bound to under a model), never by the
+/// shared model instance.
 struct LinkEpochTables {
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
@@ -69,7 +71,8 @@ class ChannelModel {
   virtual SimTime epoch_us() const = 0;
 
   /// Fill `tables` for `epoch` over `topo`'s link set. Called with
-  /// non-decreasing epochs on any given tables instance; the model may
+  /// non-decreasing epochs on any given tables instance (an epoch may be
+  /// filled again, e.g. by a new decorator object); the model may
   /// keep chain state in tables.state_* and must produce the same
   /// tables for the same (topo, epoch) regardless of which epochs were
   /// materialized before (callers rely on this for jobs-invariance).
@@ -86,20 +89,32 @@ class LivenessModel {
   virtual bool is_down(NodeId node, SimTime t) const = 0;
 };
 
-/// Per-round cursor over the (possibly time-varying) channel. Bind it to
-/// a topology + model, seek() it forward as the round's clock advances,
+/// Cursor over the (possibly time-varying) channel. Bind it to a
+/// topology + model, seek() it forward as the round's clock advances,
 /// and read the same row accessors the static Topology exposes. With a
 /// null model every accessor aliases the topology's frozen tables —
 /// zero copies, zero branches in the row reads.
+///
+/// A view keeps one epoch walk per topology it has been bound to under
+/// a model, so a trial whose rounds alternate between topologies (a
+/// hierarchical round's group rounds and parent-level floods, sharing
+/// one RoundContext) walks each topology's chain once, not once per
+/// rebinding. Walks are matched by topology address, so a topology
+/// bound under a model must outlive the view. Protocol workspaces meet
+/// this: they belong to a Session, and the protocol and its topologies
+/// outlive the session. Memory is one LinkEpochTables per topology
+/// bound under a model.
 class ChannelView {
  public:
   ChannelView() = default;
 
-  /// (Re)bind to a topology and model. Rebinding the same (topology,
-  /// model) pair keeps the walked chain state, so sequential rounds of
-  /// a trial sharing one view (e.g. via a reused RoundContext) continue
-  /// the epoch walk instead of replaying it; any other binding resets
-  /// the cursor (table capacity is kept either way).
+  /// (Re)bind to a topology and model. Binding a topology back under
+  /// the model its walk was last bound with continues that walk from
+  /// where it stopped; binding it under a different model restarts it
+  /// (models are matched by address too, so a model object rebuilt at
+  /// the same address must walk the same chain — a decorator that keeps
+  /// its chain state in the model it wraps does). A static (null-model)
+  /// binding aliases the topology's frozen tables and stores nothing.
   void bind(const Topology& topo, const ChannelModel* model);
 
   /// Advance to the epoch containing time `t`, re-materializing the
@@ -141,12 +156,24 @@ class ChannelView {
   }
 
  private:
-  /// Re-point the tier-appropriate base pointers at tables_.
+  /// One topology's epoch walk under the model it was last bound with.
+  struct Walk {
+    const Topology* topo = nullptr;
+    const ChannelModel* model = nullptr;
+    LinkEpochTables tables;
+  };
+
+  /// Re-point the tier-appropriate base pointers at the walk's tables.
   void point_at_tables();
 
   const Topology* topo_ = nullptr;
   const ChannelModel* model_ = nullptr;
-  LinkEpochTables tables_;
+  std::vector<Walk> walks_;
+  static constexpr std::size_t kNoWalk = ~std::size_t{0};
+  /// Index into walks_ of the current binding (dynamic bindings only).
+  std::size_t walk_ = 0;
+  /// The next seek re-materializes even at the walk's current epoch.
+  bool refresh_ = false;
   const double* prr_base_ = nullptr;
   const double* prr_in_base_ = nullptr;
   const std::uint64_t* rx_words_base_ = nullptr;

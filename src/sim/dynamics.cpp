@@ -18,9 +18,16 @@ constexpr std::uint64_t kStreamGeInit = 0x47454930ull;   // "GEI0": epoch-0 draw
 constexpr std::uint64_t kStreamGeStep = 0x47455354ull;   // "GEST": chain steps
 constexpr std::uint64_t kStreamChurn = 0x43485255ull;    // "CHRU": schedules
 
-/// Index of undirected pair (a, b), a < b, in the packed triangle.
-std::size_t pair_index(std::size_t n, std::size_t a, std::size_t b) {
-  return a * n - a * (a + 1) / 2 + (b - a - 1);
+/// Safety margin (dB) of the dense tier's reachability decision: a pair
+/// is walked when its PRR clears the floor at this much more signal
+/// than the walk can ever produce.
+constexpr double kReachMarginDb = 1.0;
+
+/// Fade-stream key of link (a, b): its global identity, root-topology
+/// node ids packed hi << 32 | lo.
+std::uint64_t link_key(const net::Topology& topo, NodeId a, NodeId b) {
+  return (static_cast<std::uint64_t>(topo.global_id(a)) << 32) |
+         topo.global_id(b);
 }
 
 /// Exponential draw with the given mean; never returns less than 1 us so
@@ -92,60 +99,75 @@ void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
     }
   }
 
-  const std::size_t pairs = sparse ? stored_pairs.size() : n * (n - 1) / 2;
-  const std::size_t pair_words = (pairs + 63) / 64;
-
-  // state_bits: one bad-state bit per undirected pair; state_reals: the
-  // pair's drift (dB); state_keys: the pair's fade-stream key — its
-  // *global* link identity (root-topology node ids, packed hi << 32 |
-  // lo). Keying by global identity means an induced subtopology (a
-  // group round on its own channel) sees the same physical link in the
-  // same state as a parent-level flood, and no two links ever share a
-  // stream; local pair order preserves global order because induced()
-  // members are ascending. tables.epoch is the previously materialized
-  // epoch (kNoEpoch on a fresh view), which tells us where the chain
-  // stands.
-  std::uint64_t next_step;
+  // state_bits: one bad-state bit per walked undirected pair;
+  // state_reals: the pair's drift (dB); state_keys: the pair's
+  // fade-stream key — its *global* link identity (link_key). Keying by
+  // global identity means an induced subtopology (a group round on its
+  // own channel) sees the same physical link in the same state as a
+  // parent-level flood, and no two links ever share a stream; local pair
+  // order preserves global order because induced() members are
+  // ascending. tables.epoch is the previously materialized epoch
+  // (kNoEpoch on a fresh walk), which tells us where the chain stands.
+  //
+  // Dense tier: the walk covers only the pairs whose PRR can clear
+  // link_floor_prr in at least one direction at the strongest signal
+  // the walk can produce (rssi + drift_limit_db: a burst only
+  // subtracts). Every other pair is 0 in both directions in every
+  // state, and each pair draws from its own streams, so skipping it
+  // changes no table entry and no other pair's draws. The decision is
+  // made once per walk and evaluated kReachMarginDb above that bound
+  // instead of inverting the logistic, so it stays exact where exp
+  // rounding is not monotone. state_keys carries the walked pairs'
+  // local ids (a << 32 | b) after their keys.
+  const net::RadioParams& radio = topo.radio();
+  std::uint64_t next_step = 1;
   if (tables.epoch == net::LinkEpochTables::kNoEpoch) {
-    tables.state_bits.assign(pair_words, 0);
-    tables.state_reals.assign(pairs, 0.0);
-    tables.state_keys.resize(pairs);
+    tables.state_keys.clear();
     if (sparse) {
-      for (std::size_t p = 0; p < pairs; ++p) {
-        tables.state_keys[p] =
-            (static_cast<std::uint64_t>(topo.global_id(stored_pairs[p].first))
-             << 32) |
-            topo.global_id(stored_pairs[p].second);
+      for (const auto& [a, b] : stored_pairs) {
+        tables.state_keys.push_back(link_key(topo, a, b));
       }
     } else {
-      for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = a + 1; b < n; ++b) {
-          tables.state_keys[pair_index(n, a, b)] =
-              (static_cast<std::uint64_t>(
-                   topo.global_id(static_cast<NodeId>(a)))
-               << 32) |
-              topo.global_id(static_cast<NodeId>(b));
+      std::vector<std::uint64_t> local;
+      const double reach_db = params_.drift_limit_db + kReachMarginDb;
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) {
+          const double power = topo.rssi(a, b) + reach_db;
+          if (radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b)) <
+                  radio.link_floor_prr &&
+              radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a)) <
+                  radio.link_floor_prr) {
+            continue;
+          }
+          tables.state_keys.push_back(link_key(topo, a, b));
+          local.push_back((static_cast<std::uint64_t>(a) << 32) | b);
         }
       }
+      tables.state_keys.insert(tables.state_keys.end(), local.begin(),
+                               local.end());
     }
+    const std::size_t walked =
+        sparse ? stored_pairs.size() : tables.state_keys.size() / 2;
+    tables.state_bits.assign((walked + 63) / 64, 0);
+    tables.state_reals.assign(walked, 0.0);
     const double stationary_bad =
         params_.p_good_to_bad /
         (params_.p_good_to_bad + params_.p_bad_to_good);
     const std::uint64_t init_base =
         crypto::derive_seed(params_.seed, kStreamGeInit, 0);
-    for (std::size_t p = 0; p < pairs; ++p) {
+    for (std::size_t p = 0; p < walked; ++p) {
       crypto::Xoshiro256 rng(
           crypto::derive_seed(init_base, tables.state_keys[p], 0));
       if (rng.next_bool(stationary_bad)) {
         tables.state_bits[p / 64] |= std::uint64_t{1} << (p % 64);
       }
     }
-    next_step = 1;
   } else {
     MPCIOT_REQUIRE(epoch >= tables.epoch,
                    "LinkDynamics: epochs must be materialized in order");
     next_step = tables.epoch + 1;
   }
+  const std::size_t pairs = tables.state_reals.size();
 
   // Walk the Gilbert–Elliott chain (and the drift walk) up to `epoch`.
   // Each (link, step) gets its own derive_seed stream, so the state at
@@ -181,8 +203,20 @@ void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
 
   // Materialize the effective link tables: drifted RSSI through the same
   // logistic curve + receiver penalty + floor rule the frozen tables
-  // used, so delta == 0 reproduces the static PRR exactly.
-  const net::RadioParams& radio = topo.radio();
+  // used, so delta == 0 reproduces the static PRR exactly. Returns the
+  // PRR of walked pair p = (a, b) as {a -> b, b -> a}.
+  const auto effective_prr = [&](std::size_t p, NodeId a, NodeId b) {
+    const bool bad = (tables.state_bits[p / 64] &
+                      (std::uint64_t{1} << (p % 64))) != 0;
+    const double delta = tables.state_reals[p] -
+                         (bad ? params_.bad_extra_loss_db : 0.0);
+    const double power = topo.rssi(a, b) + delta;
+    double p_ab = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b));
+    double p_ba = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a));
+    if (p_ab < radio.link_floor_prr) p_ab = 0.0;
+    if (p_ba < radio.link_floor_prr) p_ba = 0.0;
+    return std::pair<double, double>{p_ab, p_ba};
+  };
   if (sparse) {
     // Sparse payloads aligned with the topology's stored-link orders. A
     // direction that was not stored statically is dropped even if its
@@ -193,15 +227,7 @@ void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
     tables.in_prr.assign(topo.num_links(), 0.0);
     for (std::size_t p = 0; p < pairs; ++p) {
       const auto [a, b] = stored_pairs[p];
-      const bool bad = (tables.state_bits[p / 64] &
-                        (std::uint64_t{1} << (p % 64))) != 0;
-      const double delta = tables.state_reals[p] -
-                           (bad ? params_.bad_extra_loss_db : 0.0);
-      const double power = topo.rssi(a, b) + delta;
-      double p_ab = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b));
-      double p_ba = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a));
-      if (p_ab < radio.link_floor_prr) p_ab = 0.0;
-      if (p_ba < radio.link_floor_prr) p_ba = 0.0;
+      const auto [p_ab, p_ba] = effective_prr(p, a, b);
       const std::size_t iab = topo.link_index(a, b);
       if (iab != net::Topology::kNoLink) {
         tables.out_prr[iab] = p_ab;
@@ -215,35 +241,25 @@ void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
     }
     return;
   }
+  // Dense tables: pairs the walk skips stay 0 with no audibility bit.
   tables.prr.assign(n * n, 0.0);
   tables.prr_in.assign(n * n, 0.0);
   tables.rx_words.assign(n * topo.node_words(), 0);
   const std::size_t words = topo.node_words();
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      const std::size_t p = pair_index(n, a, b);
-      const bool bad = (tables.state_bits[p / 64] &
-                        (std::uint64_t{1} << (p % 64))) != 0;
-      const double delta = tables.state_reals[p] -
-                           (bad ? params_.bad_extra_loss_db : 0.0);
-      const double power = topo.rssi(static_cast<NodeId>(a),
-                                     static_cast<NodeId>(b)) + delta;
-      double p_ab = radio.prr_from_rssi(
-          power - topo.rx_noise_penalty_db(static_cast<NodeId>(b)));
-      double p_ba = radio.prr_from_rssi(
-          power - topo.rx_noise_penalty_db(static_cast<NodeId>(a)));
-      if (p_ab < radio.link_floor_prr) p_ab = 0.0;
-      if (p_ba < radio.link_floor_prr) p_ba = 0.0;
-      tables.prr[a * n + b] = p_ab;
-      tables.prr[b * n + a] = p_ba;
-      tables.prr_in[b * n + a] = p_ab;
-      tables.prr_in[a * n + b] = p_ba;
-      if (p_ab > 0.0) {
-        tables.rx_words[b * words + a / 64] |= std::uint64_t{1} << (a % 64);
-      }
-      if (p_ba > 0.0) {
-        tables.rx_words[a * words + b / 64] |= std::uint64_t{1} << (b % 64);
-      }
+  const std::uint64_t* local = tables.state_keys.data() + pairs;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const auto a = static_cast<NodeId>(local[p] >> 32);
+    const auto b = static_cast<NodeId>(local[p] & 0xFFFFFFFFu);
+    const auto [p_ab, p_ba] = effective_prr(p, a, b);
+    tables.prr[a * n + b] = p_ab;
+    tables.prr[b * n + a] = p_ba;
+    tables.prr_in[b * n + a] = p_ab;
+    tables.prr_in[a * n + b] = p_ba;
+    if (p_ab > 0.0) {
+      tables.rx_words[b * words + a / 64] |= std::uint64_t{1} << (a % 64);
+    }
+    if (p_ba > 0.0) {
+      tables.rx_words[a * words + b / 64] |= std::uint64_t{1} << (b % 64);
     }
   }
 }

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "core/campaign.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "crypto/keystore.hpp"
@@ -52,6 +55,31 @@ HierarchicalResult session_round(const HierarchicalProtocol& proto,
   Session session(proto);
   return *session.run_round(secrets, sim).hier;
 }
+
+/// Test double: forwards to an inner channel model and records, per
+/// materialize call, the topology and the epoch its walk stood at on
+/// entry (kNoEpoch: a fresh or restarted walk).
+class CountingChannel final : public net::ChannelModel {
+ public:
+  struct Call {
+    const net::Topology* topo;
+    std::uint64_t from;
+    std::uint64_t to;
+  };
+
+  explicit CountingChannel(const net::ChannelModel& inner) : inner_(inner) {}
+  SimTime epoch_us() const override { return inner_.epoch_us(); }
+  void materialize(const net::Topology& topo, std::uint64_t epoch,
+                   net::LinkEpochTables& tables) const override {
+    calls_.push_back(Call{&topo, tables.epoch, epoch});
+    inner_.materialize(topo, epoch, tables);
+  }
+  const std::vector<Call>& calls() const { return calls_; }
+
+ private:
+  const net::ChannelModel& inner_;
+  mutable std::vector<Call> calls_;
+};
 
 std::vector<Fp61> secrets_1_to_n(std::size_t n) {
   std::vector<Fp61> secrets;
@@ -375,6 +403,128 @@ TEST(Hierarchical, NodeChurnRunsAreDeterministicAndConsistent) {
   const double sr = a.success_ratio();
   EXPECT_GE(sr, 0.0);
   EXPECT_LE(sr, 1.0);
+}
+
+TEST(Hierarchical, DynamicCampaignWalksEachEpochOncePerTopology) {
+  // Every round binds the trial's one RoundContext to each group
+  // topology and to the root in turn. Each topology's fade chain must
+  // be walked once over the whole campaign, never replayed from epoch 0
+  // when a round comes back to it, so a round's host cost does not grow
+  // with its index. The world is sustained_load's hierarchical dynamic
+  // one: an 8x8 grid in 16 groups under bursty links and churn,
+  // pipelined.
+  const net::Topology grid = net::testbeds::grid(8, 8, 12.0, 64);
+  core::HierarchicalConfig cfg;
+  cfg.partition = net::partition::grid_blocks(grid, 16);
+  cfg.num_channels = 16;
+  cfg.ntx_sharing = 8;
+  cfg.ntx_reconstruction = 8;
+  const HierarchicalProtocol proto(grid, std::move(cfg));
+
+  sim::dynamics::LinkDynamicsParams lp;
+  lp.seed = 71;
+  lp.p_bad_to_good = 1.0 / 8.0;
+  lp.p_good_to_bad = lp.p_bad_to_good * 0.1 / 0.9;
+  lp.bad_extra_loss_db = 12.0;
+  lp.drift_sigma_db = 0.3;
+  lp.drift_limit_db = 4.0;
+  const sim::dynamics::LinkDynamics link(lp);
+  const CountingChannel counted(link);
+  sim::dynamics::NodeChurnParams cp;
+  cp.seed = 72;
+  cp.crashes_per_sec = 0.5;
+  cp.mean_downtime_us = 500 * kMillisecond;
+  const sim::dynamics::NodeChurn churn(grid.size(), cp);
+
+  sim::Simulator sim(73);
+  sim.set_channel_model(&counted);
+  sim.set_liveness(&churn);
+  Session session(proto);
+  Campaign campaign(session, CampaignConfig{/*rounds=*/8,
+                                            /*pipelined=*/true});
+  const CampaignResult& res =
+      campaign.run(sim, [](std::uint32_t r, std::vector<Fp61>& secrets) {
+        for (std::size_t i = 0; i < secrets.size(); ++i) {
+          secrets[i] = Fp61(i + 1 + r);
+        }
+      });
+  EXPECT_EQ(res.rounds, 8u);
+  EXPECT_GT(res.rounds_ok, 0u);
+
+  // Per topology: epochs stepped (a fresh walk steps 0..to, a continued
+  // one from+1..to), the last epoch reached, and fresh walks.
+  struct Tally {
+    const net::Topology* topo;
+    std::uint64_t stepped = 0;
+    std::uint64_t last = 0;
+    std::size_t fresh = 0;
+  };
+  std::vector<Tally> tallies;
+  for (const CountingChannel::Call& c : counted.calls()) {
+    auto it = std::find_if(tallies.begin(), tallies.end(),
+                           [&](const Tally& t) { return t.topo == c.topo; });
+    if (it == tallies.end()) {
+      tallies.push_back(Tally{c.topo});
+      it = tallies.end() - 1;
+    }
+    if (c.from == net::LinkEpochTables::kNoEpoch) {
+      ++it->fresh;
+      it->stepped += c.to + 1;
+    } else {
+      it->stepped += c.to - c.from;
+    }
+    it->last = std::max(it->last, c.to);
+  }
+  EXPECT_EQ(tallies.size(), 17u);  // the root and its 16 groups
+  for (const Tally& t : tallies) {
+    EXPECT_EQ(t.fresh, 1u) << "a walk restarted on " << t.topo->size()
+                           << "-node topology";
+    EXPECT_LE(t.stepped, t.last + 1) << t.topo->size() << "-node topology";
+  }
+}
+
+TEST(Hierarchical, JammedDynamicCampaignKeepsEachRoundsJammers) {
+  // Group rounds rebuild their JammerChannel decorator every round, in
+  // the same stack slot but with a new jam schedule. A view coming back
+  // to a group's walk keeps the chain state, which lives in the wrapped
+  // LinkDynamics, but must apply the new round's jammers from the first
+  // slot on, even when that slot falls in the epoch the walk stopped
+  // at. The figures were generated by a view that restarted a
+  // topology's walk whenever another topology had been bound since.
+  const net::Topology grid = net::testbeds::grid(8, 8, 12.0, 68);
+  core::HierarchicalConfig cfg;
+  cfg.partition = net::partition::grid_blocks(grid, 16);
+  cfg.num_channels = 16;
+  cfg.ntx_sharing = 8;
+  cfg.ntx_reconstruction = 8;
+  cfg.adversary.kind = AttackKind::kJamSlots;
+  cfg.adversary.attackers = {18, 45};
+  cfg.adversary.seed = 21;
+  cfg.adversary.jam_duty = 0.3;
+  const HierarchicalProtocol proto(grid, std::move(cfg));
+
+  sim::dynamics::LinkDynamicsParams lp;
+  lp.seed = 75;
+  lp.p_bad_to_good = 1.0 / 8.0;
+  lp.p_good_to_bad = lp.p_bad_to_good * 0.1 / 0.9;
+  lp.bad_extra_loss_db = 12.0;
+  const sim::dynamics::LinkDynamics link(lp);
+  sim::Simulator sim(77);
+  sim.set_channel_model(&link);
+  Session session(proto);
+  Campaign campaign(session, CampaignConfig{/*rounds=*/6,
+                                            /*pipelined=*/true});
+  const CampaignResult& res =
+      campaign.run(sim, [](std::uint32_t r, std::vector<Fp61>& secrets) {
+        for (std::size_t i = 0; i < secrets.size(); ++i) {
+          secrets[i] = Fp61(i + 1 + r);
+        }
+      });
+  EXPECT_EQ(res.round_latency_us,
+            (std::vector<SimTime>{1018720, 1174000, 974672, 1039184,
+                                  1071072, 1084784}));
+  EXPECT_EQ(res.rounds_ok, 3u);
+  EXPECT_EQ(res.makespan_us, 4597152);
 }
 
 TEST(Hierarchical, RadioOnAndLatencyAreReported) {

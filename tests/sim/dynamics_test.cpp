@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -30,6 +32,63 @@ net::Topology grid9() {
     }
   }
   return net::Topology(std::move(pos), radio, 7);
+}
+
+/// Test double: forwards to an inner model and records, per materialize
+/// call, the topology and the epoch its walk stood at on entry
+/// (kNoEpoch: a fresh or restarted walk).
+class CountingChannel final : public net::ChannelModel {
+ public:
+  struct Call {
+    const net::Topology* topo;
+    std::uint64_t from;
+    std::uint64_t to;
+  };
+
+  explicit CountingChannel(const net::ChannelModel& inner) : inner_(inner) {}
+  SimTime epoch_us() const override { return inner_.epoch_us(); }
+  void materialize(const net::Topology& topo, std::uint64_t epoch,
+                   net::LinkEpochTables& tables) const override {
+    calls_.push_back(Call{&topo, tables.epoch, epoch});
+    inner_.materialize(topo, epoch, tables);
+  }
+  const std::vector<Call>& calls() const { return calls_; }
+  void clear() const { calls_.clear(); }
+
+ private:
+  const net::ChannelModel& inner_;
+  mutable std::vector<Call> calls_;
+};
+
+/// Every PRR a -> b of two views at their current epochs agree.
+void expect_same_tables(const net::ChannelView& got,
+                        const net::ChannelView& want, std::size_t n) {
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      EXPECT_EQ(got.prr(a, b), want.prr(a, b)) << a << "->" << b;
+    }
+  }
+}
+
+/// FNV-1a over a dense view's receiver-major PRR rows and audibility
+/// bitmaps at its current epoch, folded into `h`.
+std::uint64_t fold_tables(std::uint64_t h, const net::ChannelView& view,
+                          const net::Topology& topo) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (NodeId r = 0; r < topo.size(); ++r) {
+    for (NodeId t = 0; t < topo.size(); ++t) {
+      mix(std::bit_cast<std::uint64_t>(view.prr_into(r)[t]));
+    }
+    for (std::size_t w = 0; w < topo.node_words(); ++w) {
+      mix(view.audible_words(r)[w]);
+    }
+  }
+  return h;
 }
 
 /// Test double: a fixed always/never-down schedule per node.
@@ -169,10 +228,12 @@ TEST(LinkDynamics, BackwardSeeksRestartTheWalkWithIdenticalTables) {
 }
 
 TEST(LinkDynamics, RebindingSameWorldContinuesTheWalk) {
-  // Sequential rounds of a trial reuse one view via RoundContext: a
-  // rebind to the same (topo, model) must keep the chain state (the
-  // next seek continues from the cursor) and still agree with a fresh
-  // walk — and rebinding a *different* world must reset cleanly.
+  // Sequential rounds of a trial reuse one view via RoundContext, and a
+  // hierarchical trial alternates topologies on it: binding a topology
+  // back under the same model must continue *that topology's* walk from
+  // where it stopped, however many other topologies were bound in
+  // between, and still agree with a fresh walk. A different model on
+  // the topology must restart its walk.
   const net::Topology topo = grid9();
   const net::Topology other = net::testbeds::flocklab();
   LinkDynamicsParams params;
@@ -180,29 +241,118 @@ TEST(LinkDynamics, RebindingSameWorldContinuesTheWalk) {
   params.p_good_to_bad = 0.25;
   params.drift_sigma_db = 0.4;
   const LinkDynamics model(params);
+  const CountingChannel counted(model);
 
   net::ChannelView reused;
-  reused.bind(topo, &model);
+  reused.bind(topo, &counted);
   reused.seek(3 * params.epoch_us);
-  reused.bind(topo, &model);  // next round, same world
+  reused.bind(other, &counted);  // another topology in between
+  reused.seek(params.epoch_us);
+  counted.clear();
+  reused.bind(topo, &counted);  // next round, same world
   reused.seek(6 * params.epoch_us);
+  ASSERT_EQ(counted.calls().size(), 1u);
+  EXPECT_EQ(counted.calls()[0].topo, &topo);
+  EXPECT_EQ(counted.calls()[0].from, 3u);  // continued, not replayed
+  EXPECT_EQ(counted.calls()[0].to, 6u);
 
   net::ChannelView fresh;
   fresh.bind(topo, &model);
   fresh.seek(6 * params.epoch_us);
-  for (NodeId a = 0; a < topo.size(); ++a) {
-    for (NodeId b = 0; b < topo.size(); ++b) {
-      EXPECT_EQ(reused.prr(a, b), fresh.prr(a, b)) << a << "->" << b;
-    }
-  }
+  expect_same_tables(reused, fresh, topo.size());
 
-  // Different topology: full reset, no stale state.
-  reused.bind(other, &model);
-  reused.seek(params.epoch_us);
+  // The other topology kept its own walk too.
+  counted.clear();
+  reused.bind(other, &counted);
+  reused.seek(2 * params.epoch_us);
+  ASSERT_EQ(counted.calls().size(), 1u);
+  EXPECT_EQ(counted.calls()[0].from, 1u);
   net::ChannelView fresh_other;
   fresh_other.bind(other, &model);
-  fresh_other.seek(params.epoch_us);
-  EXPECT_EQ(reused.prr(0, 1), fresh_other.prr(0, 1));
+  fresh_other.seek(2 * params.epoch_us);
+  expect_same_tables(reused, fresh_other, other.size());
+
+  // Coming back at the epoch the walk stopped at re-materializes it
+  // once (the model at that address may be a rebuilt decorator); a
+  // rebinding straight after keeps the tables.
+  counted.clear();
+  reused.bind(topo, &counted);
+  reused.seek(6 * params.epoch_us);
+  ASSERT_EQ(counted.calls().size(), 1u);
+  EXPECT_EQ(counted.calls()[0].from, 6u);
+  EXPECT_EQ(counted.calls()[0].to, 6u);
+  reused.bind(topo, &counted);
+  reused.seek(6 * params.epoch_us);
+  EXPECT_EQ(counted.calls().size(), 1u);
+  expect_same_tables(reused, fresh, topo.size());
+
+  // A second model on grid9: its walk restarts, no stale state.
+  LinkDynamicsParams params2 = params;
+  params2.seed = 30;
+  const LinkDynamics model2(params2);
+  const CountingChannel counted2(model2);
+  reused.bind(topo, &counted2);
+  reused.seek(6 * params.epoch_us);
+  ASSERT_FALSE(counted2.calls().empty());
+  EXPECT_EQ(counted2.calls()[0].topo, &topo);
+  EXPECT_EQ(counted2.calls()[0].from, net::LinkEpochTables::kNoEpoch);
+  net::ChannelView fresh2;
+  fresh2.bind(topo, &model2);
+  fresh2.seek(6 * params.epoch_us);
+  expect_same_tables(reused, fresh2, topo.size());
+}
+
+TEST(LinkDynamics, SkippingUnreachablePairsIsExact) {
+  // The dense walk steps only the pairs whose PRR can reach the floor
+  // at rssi + drift_limit_db. The digests below were generated by the
+  // full-triangle walk; drift is pinned at its limit in the first
+  // parameter set (a 20 dB sigma against a 4 dB bound), and has no
+  // headroom at all in the second, so a cull one step too aggressive
+  // changes a digest. FlockLab and DCube carry receiver-noise
+  // penalties (directional links); the grid is the hierarchical
+  // campaigns' 8x8 / 12 m class.
+  std::vector<net::Topology> topos;
+  topos.push_back(net::testbeds::flocklab());
+  topos.push_back(net::testbeds::dcube());
+  topos.push_back(net::testbeds::grid(8, 8, 12.0, 5));
+  LinkDynamicsParams pinned;
+  pinned.seed = 61;
+  pinned.p_good_to_bad = 0.2;
+  pinned.p_bad_to_good = 0.4;
+  pinned.bad_extra_loss_db = 12.0;
+  pinned.drift_sigma_db = 20.0;
+  pinned.drift_limit_db = 4.0;
+  LinkDynamicsParams no_headroom = pinned;
+  no_headroom.drift_limit_db = 0.0;
+  const std::vector<LinkDynamicsParams> param_sets = {pinned, no_headroom};
+  const std::uint64_t expected[3][2] = {
+      {0x644E389CCE298003ull, 0x0E02651D2B990769ull},
+      {0x60885B9A6717729Dull, 0x5EFB00E7A9261676ull},
+      {0x5250BB45868D1FC2ull, 0x955160E1A0E8F911ull},
+  };
+
+  for (std::size_t t = 0; t < topos.size(); ++t) {
+    const net::Topology& topo = topos[t];
+    for (std::size_t k = 0; k < param_sets.size(); ++k) {
+      const LinkDynamics model(param_sets[k]);
+      net::ChannelView view;
+      view.bind(topo, &model);
+      std::uint64_t h = 0xCBF29CE484222325ull;
+      for (const std::uint64_t e : {0u, 1u, 17u, 300u}) {
+        view.seek(static_cast<SimTime>(e) * param_sets[k].epoch_us);
+        h = fold_tables(h, view, topo);
+      }
+      EXPECT_EQ(h, expected[t][k]) << "topology " << t << " params " << k
+                                   << std::hex << " got 0x" << h;
+
+      // And the walk does skip pairs: fewer than the full triangle.
+      net::LinkEpochTables tables;
+      model.materialize(topo, 0, tables);
+      const std::size_t n = topo.size();
+      EXPECT_GT(tables.state_reals.size(), 0u);
+      EXPECT_LT(tables.state_reals.size(), n * (n - 1) / 2);
+    }
+  }
 }
 
 TEST(LinkDynamics, InducedSubtopologySeesTheSamePhysicalLinks) {
