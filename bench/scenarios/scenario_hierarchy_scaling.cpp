@@ -8,7 +8,7 @@
 // scenario runs it as a routine bench row and reports how the sharded
 // configurations beat the baseline on round latency and max radio-on.
 //
-// Above 1024 nodes the sweep switches to the sparse-tier topologies and
+// Above 1024 nodes the sweep switches to keyed-draw topologies and
 // recursive trees: depth x fanout configurations at n in {4096, 65536,
 // 262144}, one rep each (a single trial at these sizes already costs
 // minutes of wall-clock; the paired-seed scheme keeps it deterministic).
@@ -19,10 +19,7 @@
 //
 // Params: max_nodes (default 1024) trims the n sweep from above, e.g.
 // for smoke runs on slow machines; min_nodes (default 0) trims it from
-// below so CI can run exactly one big configuration; force_sparse
-// (default 0) builds the dense-eligible (n <= 2048) topologies on the
-// sparse tier with sequential link draws — output must stay
-// byte-identical, which the sparse-vs-dense test suite pins.
+// below so CI can run exactly one big configuration.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -109,17 +106,9 @@ TrialRecord run_one(const SweepPoint& point, std::uint64_t base_seed,
 Rows run_hierarchy_scaling(const ScenarioContext& ctx) {
   const std::uint32_t max_nodes = ctx.param_u32("max_nodes", 1024);
   const std::uint32_t min_nodes = ctx.param_u32("min_nodes", 0);
-  const bool force_sparse = ctx.param_u32("force_sparse", 0) != 0;
   const std::uint32_t reps = std::max<std::uint32_t>(ctx.reps, 1);
 
   const auto build_topo = [&](std::uint32_t n, GridSpec grid) {
-    net::TopologyOptions options;
-    if (force_sparse && n <= net::Topology::kDenseMaxNodes) {
-      // Sparse storage over the *sequential* draw stream: identical
-      // link tables to the dense default, different representation.
-      options.storage = net::TopologyStorage::kSparse;
-      options.draw = net::LinkDraw::kSequential;
-    }
     return std::make_shared<const net::Topology>(
         net::testbeds::retry_topology(
             "hierarchy_scaling: could not build grid", 64,
@@ -128,7 +117,7 @@ Rows run_hierarchy_scaling(const ScenarioContext& ctx) {
                   grid.rows, grid.cols, /*spacing_m=*/12.0,
                   crypto::derive_seed(ctx.seed, 0x544F504Full /*"TOPO"*/,
                                       n + attempt),
-                  net::RadioParams{}, options);
+                  net::RadioParams{});
             }));
   };
 
@@ -171,10 +160,10 @@ Rows run_hierarchy_scaling(const ScenarioContext& ctx) {
     }
   }
 
-  // Big-n sweep: sparse-tier topologies, recursive trees, one rep. Root
-  // groups are kept above the dense-leaf threshold (so their
-  // subtopologies stay sparse) while the innermost leaf groups stay
-  // small enough that their dense tables fit comfortably.
+  // Big-n sweep: keyed-draw topologies, recursive trees, one rep. Root
+  // groups are kept above Topology::kExactMaxNodes (their subtopologies
+  // take the keyed draw slices and double-sweep centers) while the
+  // innermost leaf groups stay small.
   struct BigSize {
     std::uint32_t n;
     GridSpec grid;
@@ -309,7 +298,7 @@ void register_hierarchy_scaling(bench_core::Registry& registry) {
       "single-chain baseline (params: max_nodes)",
       /*default_reps=*/3,
       /*deterministic=*/true,
-      /*param_names=*/{"max_nodes", "min_nodes", "force_sparse"},
+      /*param_names=*/{"max_nodes", "min_nodes"},
       run_hierarchy_scaling});
 }
 

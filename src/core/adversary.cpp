@@ -171,46 +171,31 @@ bool JammerChannel::jam_active(NodeId jammer, std::uint64_t epoch) const {
 void JammerChannel::materialize(const net::Topology& topo,
                                 std::uint64_t epoch,
                                 net::LinkEpochTables& tables) const {
-  // The jam overlay zeroes whole receiver rows of the dense tables;
-  // adversary scenarios run on leaf-scale topologies where those rows
-  // exist. Sparse-tier jamming would need a word-run overlay nobody
-  // sweeps yet — fail loudly instead of silently not jamming.
-  MPCIOT_REQUIRE(!topo.sparse(),
-                 "jammer: sparse-tier topologies are not supported");
   const std::size_t n = topo.size();
-  const std::size_t words = topo.node_words();
   if (inner_ != nullptr) {
     inner_->materialize(topo, epoch, tables);
   } else {
     // Static world: restart from the frozen snapshot each epoch (the
     // jam overlay below must not accumulate across epochs).
-    tables.prr.assign(topo.prr_data(), topo.prr_data() + n * n);
-    tables.prr_in.resize(n * n);
-    tables.rx_words.resize(n * words);
-    for (NodeId r = 0; r < n; ++r) {
-      std::copy_n(topo.prr_into(r), n, tables.prr_in.data() + r * n);
-      std::copy_n(topo.audible_words(r), words,
-                  tables.rx_words.data() + r * words);
-    }
+    tables.runs = topo.audibility();
   }
   tables.epoch = epoch;
 
+  // Deafen receiver r: clear its audibility runs, so it hears nobody.
+  const auto deafen = [&](NodeId r) {
+    for (std::uint32_t w = tables.runs.offsets[r];
+         w < tables.runs.offsets[r + 1]; ++w) {
+      tables.runs.words[w].bits = 0;
+    }
+  };
   for (const NodeId j : jammers_) {
     MPCIOT_REQUIRE(j < n, "jammer: id out of range for this topology");
     if (!jam_active(j, epoch)) continue;
     // Noise from j deafens every receiver that can hear j at all (static
     // audibility — jamming reach is physics, not the inner model's
     // current fade), plus j itself: its radio is busy emitting noise.
-    for (NodeId r = 0; r < n; ++r) {
-      const bool in_range =
-          (topo.audible_words(r)[j / 64] >> (j % 64)) & 1;
-      if (!in_range && r != j) continue;
-      for (std::size_t t = 0; t < n; ++t) {
-        tables.prr_in[r * n + t] = 0.0;
-        tables.prr[t * n + r] = 0.0;
-      }
-      std::fill_n(tables.rx_words.data() + r * words, words, 0);
-    }
+    deafen(j);
+    for (const NodeId r : topo.neighbors(j)) deafen(r);
   }
 }
 

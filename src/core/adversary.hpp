@@ -173,7 +173,8 @@ class AdversaryEngine {
 /// frozen static snapshot when inner is null) with per-epoch jammers
 /// stamped on top. A jammer active in an epoch deafens every receiver
 /// that can hear it at all — including itself, its radio being busy —
-/// by zeroing the receiver's inbound PRR row and audibility bitmap.
+/// by clearing the receiver's audibility runs. Works on topologies of
+/// any size.
 /// Jam decisions are pure functions of (seed, epoch, jammer), so the
 /// materialize() contract (same tables for the same (topo, epoch),
 /// regardless of walk prefix) is preserved whenever the inner model

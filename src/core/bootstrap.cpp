@@ -63,8 +63,8 @@ std::vector<NodeId> elect_share_holders(const net::Topology& topo,
   };
   const std::uint64_t penalty = topo.diameter() + 3;
   // Accumulate per source over whole hop rows (hops_from): the same
-  // integer sums as the candidate-major loop, but one BFS per source on
-  // the sparse tier instead of |sources| point queries per candidate.
+  // integer sums as the candidate-major loop, but one BFS per source
+  // instead of |sources| point queries per candidate.
   std::vector<std::uint64_t> scores(topo.size(), 0);
   for (NodeId src : sources) {
     const std::uint32_t* row = topo.hops_from(src);

@@ -38,8 +38,8 @@ NodeId pick_phase_initiator(const net::Topology& topo, NodeId preferred,
   std::uint32_t best_h = net::Topology::kInvalidHops;
   NodeId fallback = kInvalidNode;
   std::uint32_t fallback_h = net::Topology::kInvalidHops;
-  // One hop row for the preferred source (row[preferred] == 0): on the
-  // sparse tier this is a single BFS, not |candidates| point queries.
+  // One hop row for the preferred source (row[preferred] == 0): a
+  // single BFS, not |candidates| point queries.
   const std::uint32_t* hops_row = topo.hops_from(preferred);
   for (NodeId c : candidates) {
     if (dead[c]) continue;

@@ -6,6 +6,21 @@
 
 #include "common/assert.hpp"
 
+// Hardware POPCNT for the arbitration loop's rank lookups: the default
+// x86-64 target has none, and std::popcount then compiles to a libgcc
+// call per heard transmitter. The loader picks the popcnt clone once per
+// process where the CPU has it; the arithmetic is the same either way.
+// ThreadSanitizer builds skip the clones: GCC instruments the ifunc
+// resolver, which then runs before the TSan runtime and crashes.
+#if defined(CTAGG_SIMD) && defined(__x86_64__) && defined(__ELF__) && \
+    (defined(__GNUC__) || defined(__clang__)) &&                      \
+    !defined(__SANITIZE_THREAD__)
+#define CTAGG_POPCNT_CLONES \
+  __attribute__((target_clones("popcnt", "default")))
+#else
+#define CTAGG_POPCNT_CLONES
+#endif
+
 namespace mpciot::ct {
 
 std::size_t BitView::count() const {
@@ -85,6 +100,7 @@ MiniCastResult run_minicast(const net::Topology& topo,
   return result;
 }
 
+CTAGG_POPCNT_CLONES
 void run_minicast_into(const net::Topology& topo,
                        const std::vector<ChainEntry>& entries,
                        const MiniCastConfig& config, crypto::Xoshiro256& rng,
@@ -180,11 +196,6 @@ void run_minicast_into(const net::Topology& topo,
       result.done_slot[i] = 0;
     }
   }
-
-  // Sparse-tier topologies have no audibility bitmap rows; their
-  // listeners scan the per-receiver word runs instead. Hoisted so the
-  // dense hot loop below stays branch-free.
-  const bool sparse_topo = view.sparse();
 
   const double inv_corr = 1.0 / radio.ct_loss_correlation;
   // At the default correlation of 1.0 the exponent is exactly 1.0, and
@@ -285,68 +296,25 @@ void run_minicast_into(const net::Topology& topo,
         }
       }
       if (sender_count == 0) continue;
+      const double* in_prr = view.in_prr();
       for (NodeId r : scratch.listeners) {
         std::size_t heard = 0;
         double fail_product = 1.0;
         double single_prr = 0.0;
-        if (sparse_topo) {
-          // Sparse tier: only the receiver's stored in-links exist, as
-          // word runs over the same ascending-transmitter order the
-          // dense row scan visits — the fail_product chain and the RNG
-          // draw below are identical either way.
-          const double* in_prr = view.in_prr();
-          for (const net::AudWord& aw : view.audible_entries(r)) {
-            std::uint64_t m = aw.bits & scratch.entry_senders[aw.word];
-            while (m != 0) {
-              const std::uint64_t low = m & (~m + 1);
-              m &= m - 1;
-              const double p =
-                  in_prr[aw.prr_off +
-                         static_cast<std::size_t>(
-                             std::popcount(aw.bits & (low - 1)))];
-              ++heard;
-              fail_product *= (1.0 - p);
-              single_prr = p;
-            }
-          }
-        } else {
-          const std::uint64_t* audible = view.audible_words(r);
-          const double* prr_in = view.prr_into(r);
-          // Scan the sender/audibility masks four words per stride: one
-          // OR rejects 256 absent transmitters at a time (the common
-          // case — sender sets are sparse). Words within a surviving
-          // stride are still visited in ascending order, so the
-          // fail_product multiply chain — doubles, order-sensitive — is
-          // untouched.
-          const auto scan_word = [&](std::size_t w, std::uint64_t m) {
-            while (m != 0) {
-              const std::size_t t =
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-              m &= m - 1;
-              const double p = prr_in[t];
-              ++heard;
-              fail_product *= (1.0 - p);
-              single_prr = p;
-            }
-          };
-          std::size_t w = 0;
-          for (; w + 4 <= nwords; w += 4) {
-            const std::uint64_t m0 =
-                scratch.entry_senders[w + 0] & audible[w + 0];
-            const std::uint64_t m1 =
-                scratch.entry_senders[w + 1] & audible[w + 1];
-            const std::uint64_t m2 =
-                scratch.entry_senders[w + 2] & audible[w + 2];
-            const std::uint64_t m3 =
-                scratch.entry_senders[w + 3] & audible[w + 3];
-            if ((m0 | m1 | m2 | m3) == 0) continue;
-            scan_word(w + 0, m0);
-            scan_word(w + 1, m1);
-            scan_word(w + 2, m2);
-            scan_word(w + 3, m3);
-          }
-          for (; w < nwords; ++w) {
-            scan_word(w, scratch.entry_senders[w] & audible[w]);
+        // Only the receiver's audible in-links exist, as word runs over
+        // ascending transmitter ids: the fail_product multiply chain —
+        // doubles, order-sensitive — always runs in that order.
+        for (const net::AudWord& aw : view.audible_entries(r)) {
+          std::uint64_t m = aw.bits & scratch.entry_senders[aw.word];
+          while (m != 0) {
+            const std::uint64_t low = m & (~m + 1);
+            m &= m - 1;
+            const double p =
+                in_prr[aw.slot + static_cast<std::size_t>(
+                                     std::popcount(aw.bits & (low - 1)))];
+            ++heard;
+            fail_product *= (1.0 - p);
+            single_prr = p;
           }
         }
         if (heard == 0) continue;

@@ -140,8 +140,8 @@ struct MiniCastConfig {
   SimTime start_time_us = 0;
   /// Time-varying channel the round runs under; null = the topology's
   /// frozen snapshot. The engine seeks a cached per-round view once per
-  /// chain slot and re-materializes rows only when the model's epoch
-  /// advances, so the bitmap hot path is untouched between epochs.
+  /// chain slot and re-materializes PRRs only when the model's epoch
+  /// advances, so the arbitration loop is untouched between epochs.
   const net::ChannelModel* channel_model = nullptr;
   /// Node crash/recover schedule; null = no churn. A node down for a
   /// chain slot neither transmits nor listens and is charged no

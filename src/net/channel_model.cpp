@@ -22,19 +22,9 @@ void ChannelView::bind(const Topology& topo, const ChannelModel* model) {
   const std::size_t previous = model_ != nullptr ? walk_ : kNoWalk;
   topo_ = &topo;
   model_ = model;
-  sparse_ = topo.sparse();
-  n_ = topo.size();
-  words_ = topo.node_words();
   if (model_ == nullptr) {
     // Static channel: alias the frozen tables, nothing ever re-fills.
-    if (sparse_) {
-      out_prr_base_ = topo.out_prr_data();
-      in_prr_base_ = topo.in_prr_data();
-    } else {
-      prr_base_ = topo.prr_data();
-      prr_in_base_ = topo.prr_into(0);
-      rx_words_base_ = topo.audible_words(0);
-    }
+    point_at(topo.audibility());
     return;
   }
   MPCIOT_REQUIRE(model_->epoch_us() > 0,
@@ -65,7 +55,7 @@ void ChannelView::bind(const Topology& topo, const ChannelModel* model) {
   // decorators every round; the chain state lives in the model they
   // wrap), so that first seek re-materializes even at the walk's epoch.
   refresh_ = previous != walk_;
-  point_at_tables();
+  point_at(w.tables.runs);
 }
 
 void ChannelView::seek(SimTime t) {
@@ -84,19 +74,15 @@ void ChannelView::seek(SimTime t) {
   model_->materialize(*topo_, epoch, tables);
   tables.epoch = epoch;
   refresh_ = false;
-  point_at_tables();
+  point_at(tables.runs);
 }
 
-void ChannelView::point_at_tables() {
-  const LinkEpochTables& tables = walks_[walk_].tables;
-  if (sparse_) {
-    out_prr_base_ = tables.out_prr.data();
-    in_prr_base_ = tables.in_prr.data();
-  } else {
-    prr_base_ = tables.prr.data();
-    prr_in_base_ = tables.prr_in.data();
-    rx_words_base_ = tables.rx_words.data();
-  }
+void ChannelView::point_at(const AudRuns& runs) {
+  runs_ = &runs;
+  offsets_ = runs.offsets.data();
+  words_ = runs.words.data();
+  in_prr_ = runs.prr.data();
+  in_rssi_ = runs.rssi.data();
 }
 
 }  // namespace mpciot::net

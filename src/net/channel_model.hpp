@@ -17,10 +17,10 @@
 // Model instances are const and thread-safe; all evolving state lives in
 // a `ChannelView`, the cursor the CT hot path reads. The view keeps one
 // walked epoch chain per topology it has been bound to under a model,
-// caches the current epoch's materialized tables (receiver-major PRR
-// rows + audibility bitmaps, mirroring Topology's layout) and
-// re-materializes only when the epoch advances, so the bitmap hot loop
-// keeps its contiguous-row reads regardless of the model.
+// caches the current epoch's materialized tables (per-receiver
+// audibility word runs + inbound PRRs, Topology's layout) and
+// re-materializes only when the epoch advances, so the arbitration loop
+// reads one form whether or not a model is bound.
 #pragma once
 
 #include <cstdint>
@@ -42,17 +42,9 @@ struct LinkEpochTables {
   /// Epoch the tables currently describe; kNoEpoch before the first
   /// materialization.
   std::uint64_t epoch = kNoEpoch;
-  std::vector<double> prr;               // [tx * n + rx]
-  std::vector<double> prr_in;            // [rx * n + tx], transposed
-  std::vector<std::uint64_t> rx_words;   // audibility bitmaps, like Topology
-  /// Sparse-tier epoch payloads, aligned with the topology's stored-link
-  /// orders (out_prr: link_index order; in_prr: the in_prr_data order
-  /// the audibility word runs index). The word runs themselves stay the
-  /// topology's frozen lists: a stored link whose epoch PRR decays to 0
-  /// keeps its audibility bit and contributes p = 0, and dynamics never
-  /// resurrect a link the sparse build culled (see ARCHITECTURE.md).
-  std::vector<double> out_prr;
-  std::vector<double> in_prr;
+  /// Inbound links at this epoch in Topology::audibility()'s layout: the
+  /// runs list exactly the transmitters with PRR > 0 at this epoch.
+  AudRuns runs;
   /// Model scratch (e.g. per-link burst state / drift / stream keys):
   /// layout is the model's business, persistence across epochs is the
   /// view's.
@@ -93,7 +85,7 @@ class LivenessModel {
 /// topology + model, seek() it forward as the round's clock advances,
 /// and read the same row accessors the static Topology exposes. With a
 /// null model every accessor aliases the topology's frozen tables —
-/// zero copies, zero branches in the row reads.
+/// zero copies.
 ///
 /// A view keeps one epoch walk per topology it has been bound to under
 /// a model, so a trial whose rounds alternate between topologies (a
@@ -127,32 +119,19 @@ class ChannelView {
 
   bool dynamic() const { return model_ != nullptr; }
 
-  /// True when the bound topology stores the sparse tier: row accessors
-  /// (prr_into / audible_words) are unavailable — iterate
-  /// audible_entries + in_prr instead.
-  bool sparse() const { return sparse_; }
-
-  /// Receiver-major PRR row at the current epoch (see Topology). Dense
-  /// bindings only.
-  const double* prr_into(NodeId r) const { return prr_in_base_ + r * n_; }
-  /// Inbound audibility bitmap row at the current epoch (see Topology).
-  /// Dense bindings only.
-  const std::uint64_t* audible_words(NodeId r) const {
-    return rx_words_base_ + r * words_;
-  }
-  /// Sparse bindings: the topology's frozen audibility word runs (their
-  /// prr_off fields index in_prr()).
+  /// Receiver r's audibility word runs at the current epoch (see
+  /// Topology::audible_entries).
   std::span<const AudWord> audible_entries(NodeId r) const {
-    return topo_->audible_entries(r);
+    return {words_ + offsets_[r], words_ + offsets_[r + 1]};
   }
-  /// Sparse bindings: inbound PRR payloads at the current epoch, in the
-  /// order the audibility word runs index.
-  const double* in_prr() const { return in_prr_base_; }
+  /// Inbound PRRs at the current epoch and the links' frozen RSSI,
+  /// indexed by the runs' slots.
+  const double* in_prr() const { return in_prr_; }
+  const double* in_rssi() const { return in_rssi_; }
   /// PRR a -> b at the current epoch.
   double prr(NodeId a, NodeId b) const {
-    if (!sparse_) return prr_base_[a * n_ + b];
-    const std::size_t i = topo_->link_index(a, b);
-    return i == Topology::kNoLink ? 0.0 : out_prr_base_[i];
+    const std::size_t s = runs_->slot(b, a);
+    return s == kNoSlot ? 0.0 : in_prr_[s];
   }
 
  private:
@@ -163,8 +142,8 @@ class ChannelView {
     LinkEpochTables tables;
   };
 
-  /// Re-point the tier-appropriate base pointers at the walk's tables.
-  void point_at_tables();
+  /// Point the row accessors at `runs`.
+  void point_at(const AudRuns& runs);
 
   const Topology* topo_ = nullptr;
   const ChannelModel* model_ = nullptr;
@@ -174,14 +153,11 @@ class ChannelView {
   std::size_t walk_ = 0;
   /// The next seek re-materializes even at the walk's current epoch.
   bool refresh_ = false;
-  const double* prr_base_ = nullptr;
-  const double* prr_in_base_ = nullptr;
-  const std::uint64_t* rx_words_base_ = nullptr;
-  const double* out_prr_base_ = nullptr;
-  const double* in_prr_base_ = nullptr;
-  bool sparse_ = false;
-  std::size_t n_ = 0;
-  std::size_t words_ = 0;
+  const AudRuns* runs_ = nullptr;
+  const std::uint32_t* offsets_ = nullptr;
+  const AudWord* words_ = nullptr;
+  const double* in_prr_ = nullptr;
+  const double* in_rssi_ = nullptr;
 };
 
 }  // namespace mpciot::net

@@ -263,8 +263,8 @@ Partition greedy_radius(const Topology& topo, std::uint32_t target_groups,
   // farthest, so isolated pockets get their own seed first).
   std::vector<NodeId> seeds{topo.center_node()};
   std::vector<std::uint64_t> dist(n, 0);
-  // Whole rows via hops_from: on the sparse tier each seed costs one
-  // BFS instead of n point queries.
+  // Whole rows via hops_from: each seed costs one BFS instead of n
+  // point queries.
   const auto hop_or_max = [](const std::uint32_t* row, NodeId b) {
     const std::uint32_t h = row[b];
     return h == Topology::kInvalidHops ? std::uint64_t{1} << 32

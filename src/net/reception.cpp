@@ -1,6 +1,7 @@
 #include "net/reception.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -13,6 +14,19 @@ ReceptionOutcome ReceptionModel::arbitrate(
   ReceptionOutcome out;
   if (transmitters.empty()) return out;
 
+  // The receiver's inbound links, read once per call: its audibility
+  // runs (the view's at the current epoch, else the frozen topology's)
+  // list transmitters in ascending order, as `transmitters` does, so one
+  // forward cursor replaces a search per transmitter.
+  const std::span<const AudWord> runs =
+      view != nullptr ? view->audible_entries(receiver)
+                      : topo_->audible_entries(receiver);
+  const double* in_prr =
+      view != nullptr ? view->in_prr() : topo_->audibility().prr.data();
+  const double* in_rssi =
+      view != nullptr ? view->in_rssi() : topo_->audibility().rssi.data();
+  std::size_t run = 0;
+
   // Partition audible transmitters (link exists) and check payload
   // homogeneity.
   double best_prr = 0.0;
@@ -24,15 +38,24 @@ ReceptionOutcome ReceptionModel::arbitrate(
   std::size_t audible = 0;
   double fail_product = 1.0;
 
-  for (const Transmission& t : transmitters) {
+  for (std::size_t i = 0; i < transmitters.size(); ++i) {
+    const Transmission& t = transmitters[i];
     MPCIOT_DCHECK(t.sender != receiver,
                   "reception: half-duplex node cannot receive own slot");
+    MPCIOT_DCHECK(i == 0 || transmitters[i - 1].sender < t.sender,
+                  "reception: transmitters must ascend by sender");
     if (t.content_id != first_content) homogeneous = false;
-    const double p = view != nullptr ? view->prr(t.sender, receiver)
-                                     : topo_->prr(t.sender, receiver);
-    if (p <= 0.0) continue;
+    const std::uint32_t w = t.sender / 64;
+    while (run < runs.size() && runs[run].word < w) ++run;
+    if (run == runs.size() || runs[run].word != w) continue;
+    const std::uint64_t bit = std::uint64_t{1} << (t.sender % 64);
+    if ((runs[run].bits & bit) == 0) continue;
+    const std::size_t slot =
+        runs[run].slot +
+        static_cast<std::size_t>(std::popcount(runs[run].bits & (bit - 1)));
+    const double p = in_prr[slot];
+    const double rssi = in_rssi[slot];
     ++audible;
-    const double rssi = topo_->rssi(t.sender, receiver);
     power_sum_mw += std::pow(10.0, rssi / 10.0);
     fail_product *= (1.0 - p);
     if (rssi > best_rssi) {

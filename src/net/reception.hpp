@@ -39,11 +39,12 @@ class ReceptionModel {
  public:
   explicit ReceptionModel(const Topology& topo) : topo_(&topo) {}
 
-  /// Arbitrate a sub-slot for `receiver`. `transmitters` must not contain
-  /// the receiver itself (half-duplex radio). `view`, when non-null,
-  /// supplies the current epoch's PRRs instead of the frozen tables
-  /// (capture power ratios still use the frozen RSSI: bursts are modeled
-  /// as loss, not as a change in who captures).
+  /// Arbitrate a sub-slot for `receiver`. `transmitters` must ascend by
+  /// sender and must not contain the receiver itself (half-duplex
+  /// radio). `view`, when non-null, supplies the current epoch's PRRs
+  /// instead of the frozen tables (capture power ratios still use the
+  /// frozen RSSI: bursts are modeled as loss, not as a change in who
+  /// captures).
   ReceptionOutcome arbitrate(NodeId receiver,
                              const std::vector<Transmission>& transmitters,
                              crypto::Xoshiro256& rng,

@@ -20,14 +20,63 @@ constexpr std::uint64_t kStreamLinkShadow = 0x4C494E4B;
 
 }  // namespace
 
-/// Lazily built good-link BFS rows (sparse tier). Forward rows answer
-/// hops_from(src); reverse rows answer hops(*, dst) for a hot target
-/// (e.g. "hops to the center" across the whole network). Node-based map
-/// storage keeps row pointers stable across later insertions.
+std::size_t AudRuns::slot(NodeId r, NodeId t) const {
+  const auto runs = row(r);
+  const std::uint32_t w = t / 64;
+  const auto it = std::lower_bound(
+      runs.begin(), runs.end(), w,
+      [](const AudWord& e, std::uint32_t word) { return e.word < word; });
+  if (it == runs.end() || it->word != w) return kNoSlot;
+  const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+  if ((it->bits & bit) == 0) return kNoSlot;
+  return it->slot +
+         static_cast<std::size_t>(std::popcount(it->bits & (bit - 1)));
+}
+
+void AudRuns::assign(std::size_t receivers, std::span<const Link> links) {
+  // Counting sort on receiver; it keeps each receiver's transmitters in
+  // input order, i.e. ascending.
+  std::vector<std::uint32_t> row_begin(receivers + 1, 0);
+  for (const Link& l : links) ++row_begin[l.rx + 1];
+  for (std::size_t r = 0; r < receivers; ++r) row_begin[r + 1] += row_begin[r];
+  std::vector<NodeId> tx(links.size());
+  prr.resize(links.size());
+  rssi.resize(links.size());
+  {
+    std::vector<std::uint32_t> cursor(row_begin.begin(), row_begin.end() - 1);
+    for (const Link& l : links) {
+      const std::uint32_t k = cursor[l.rx]++;
+      tx[k] = l.tx;
+      prr[k] = l.prr;
+      rssi[k] = l.rssi;
+    }
+  }
+  // Pack each receiver's transmitter list into word runs.
+  offsets.assign(receivers + 1, 0);
+  words.clear();
+  for (std::size_t r = 0; r < receivers; ++r) {
+    offsets[r] = static_cast<std::uint32_t>(words.size());
+    for (std::uint32_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+      const NodeId t = tx[k];
+      if (words.size() == offsets[r] || words.back().word != t / 64) {
+        words.push_back({t / 64, k, 0});
+      }
+      words.back().bits |= std::uint64_t{1} << (t % 64);
+    }
+  }
+  offsets[receivers] = static_cast<std::uint32_t>(words.size());
+}
+
+/// Lazily built good-link BFS rows. Forward rows answer hops_from(src);
+/// reverse rows answer hops(*, dst) for a hot target (e.g. "hops to the
+/// center" across the whole network). A deque never moves the rows it
+/// owns, so handed-out row pointers stay valid.
 struct Topology::HopCache {
-  std::mutex mu;
-  std::unordered_map<NodeId, std::vector<std::uint32_t>> fwd;
-  std::unordered_map<NodeId, std::vector<std::uint32_t>> rev;
+  explicit HopCache(std::size_t n) : fwd(n, nullptr), rev(n, nullptr) {}
+  std::mutex mu;  // guards every member below
+  std::vector<const std::uint32_t*> fwd;
+  std::vector<const std::uint32_t*> rev;
+  std::deque<std::vector<std::uint32_t>> rows;
 };
 
 Topology::Topology(Topology&&) noexcept = default;
@@ -48,26 +97,10 @@ Topology::Topology(std::vector<Position> positions, RadioParams radio,
   global_ids_.resize(positions_.size());
   for (NodeId i = 0; i < positions_.size(); ++i) global_ids_[i] = i;
 
-  const bool auto_dense = positions_.size() <= kDenseMaxNodes;
-  const bool dense = options.storage == TopologyStorage::kDense ||
-                     (options.storage == TopologyStorage::kAuto && auto_dense);
   const bool sequential =
       options.draw == LinkDraw::kSequential ||
-      (options.draw == LinkDraw::kAuto && auto_dense);
-  sparse_ = !dense;
-
-  if (dense && sequential) {
-    // The historic path, untouched: every derived byte is identical to
-    // the pre-split implementation.
-    build_link_tables(shadow_seed);
-    build_derived_tables();
-  } else if (dense) {
-    fill_dense_from_links(draw_links_keyed(shadow_seed));
-    build_derived_tables();
-  } else {
-    build_sparse_from_links(sequential ? draw_links_sequential(shadow_seed)
-                                       : draw_links_keyed(shadow_seed));
-  }
+      (options.draw == LinkDraw::kAuto && positions_.size() <= kExactMaxNodes);
+  build(sequential ? draw_sequential(shadow_seed) : draw_keyed(shadow_seed));
 }
 
 Topology Topology::induced(const Topology& parent,
@@ -90,64 +123,32 @@ Topology Topology::induced(const Topology& parent,
     sub.rx_penalty_.push_back(parent.rx_penalty_[p]);
     sub.global_ids_.push_back(parent.global_ids_[p]);
   }
-  // The child picks its own tier by size: leaf groups of a sparse root
-  // come out dense (bit-identical hot paths), intermediate slices of a
-  // giant deployment stay sparse.
-  sub.sparse_ = m > kDenseMaxNodes;
 
-  if (!sub.sparse_ && !parent.sparse_) {
-    // Dense child of a dense parent: the historic O(m^2) row copy.
-    sub.rssi_.assign(m * m, -200.0);
-    sub.prr_.assign(m * m, 0.0);
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = 0; b < m; ++b) {
-        if (a == b) continue;
-        sub.rssi_[a * m + b] = parent.rssi(members[a], members[b]);
-        sub.prr_[a * m + b] = parent.prr(members[a], members[b]);
-      }
-    }
-    sub.build_derived_tables();
-    return sub;
-  }
-
-  // Sparse parent (or a sparse child of a huge forced-dense parent):
-  // walk only the parent's stored links that stay inside the member
-  // set — O(members + links), never O(parent^2).
+  // Walk only the parent's stored links and near pairs that stay inside
+  // the member set — O(members + links), never O(parent^2).
   std::vector<NodeId> local_of(parent.size(), kInvalidNode);
   for (std::size_t i = 0; i < m; ++i) {
     local_of[members[i]] = static_cast<NodeId>(i);
   }
-
-  std::vector<LinkDrawRecord> links;
-  if (parent.sparse_) {
-    for (std::size_t a = 0; a < m; ++a) {
-      const NodeId pa = members[a];
-      for (std::uint32_t i = parent.csr_offsets_[pa];
-           i < parent.csr_offsets_[pa + 1]; ++i) {
-        const NodeId lb = local_of[parent.csr_neighbors_[i]];
-        if (lb == kInvalidNode) continue;
-        links.push_back({static_cast<NodeId>(a), lb, parent.out_prr_[i],
-                         parent.out_rssi_[i]});
-      }
+  Draws draws;
+  for (NodeId a = 0; a < m; ++a) {
+    const NodeId pa = members[a];
+    for (std::uint32_t i = parent.csr_offsets_[pa];
+         i < parent.csr_offsets_[pa + 1]; ++i) {
+      const NodeId lb = local_of[parent.csr_neighbors_[i]];
+      if (lb == kInvalidNode) continue;
+      draws.links.push_back({a, lb, parent.out_prr_[i],
+                             parent.rssi(pa, parent.csr_neighbors_[i])});
     }
-  } else {
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = 0; b < m; ++b) {
-        if (a == b) continue;
-        const double p = parent.prr(members[a], members[b]);
-        if (p <= 0.0) continue;
-        links.push_back({static_cast<NodeId>(a), static_cast<NodeId>(b), p,
-                         parent.rssi(members[a], members[b])});
+    for (std::uint32_t i = parent.near_offsets_[pa];
+         i < parent.near_offsets_[pa + 1]; ++i) {
+      const NodeId lb = local_of[parent.near_ids_[i]];
+      if (lb != kInvalidNode && lb > a) {
+        draws.near.push_back({a, lb, parent.near_rssi_[i]});
       }
     }
   }
-
-  if (sub.sparse_) {
-    sub.build_sparse_from_links(std::move(links));
-  } else {
-    sub.fill_dense_from_links(links);
-    sub.build_derived_tables();
-  }
+  sub.build(std::move(draws));
   return sub;
 }
 
@@ -167,108 +168,77 @@ double Topology::distance(NodeId a, NodeId b) const {
 }
 
 double Topology::rssi(NodeId a, NodeId b) const {
-  if (!sparse_) return rssi_[idx(a, b)];
-  if (a == b) return -200.0;
-  // Shadowing is symmetric, so either stored direction carries the
-  // frozen power; unstored pairs report the never-drawn dense value.
-  std::size_t i = link_index(a, b);
-  if (i == kNoLink) i = link_index(b, a);
-  return i == kNoLink ? -200.0 : out_rssi_[i];
+  const auto partners = near(a);
+  const auto it = std::lower_bound(partners.begin(), partners.end(), b);
+  if (it == partners.end() || *it != b) return -200.0;
+  return near_rssi_[near_offsets_[a] +
+                    static_cast<std::size_t>(it - partners.begin())];
 }
 
 double Topology::prr(NodeId a, NodeId b) const {
-  if (!sparse_) return prr_[idx(a, b)];
-  if (a == b) return 0.0;
   const std::size_t i = link_index(a, b);
-  return i == kNoLink ? 0.0 : out_prr_[i];
+  return i == kNoSlot ? 0.0 : out_prr_[i];
 }
 
 std::size_t Topology::link_index(NodeId a, NodeId b) const {
   const NodeId* begin = csr_neighbors_.data() + csr_offsets_[a];
   const NodeId* end = csr_neighbors_.data() + csr_offsets_[a + 1];
   const NodeId* it = std::lower_bound(begin, end, b);
-  if (it == end || *it != b) return kNoLink;
+  if (it == end || *it != b) return kNoSlot;
   return static_cast<std::size_t>(it - csr_neighbors_.data());
 }
 
-std::size_t Topology::in_index(NodeId r, NodeId t) const {
-  const auto entries = audible_entries(r);
-  const std::uint32_t w = t / 64;
-  const auto* it = std::lower_bound(
-      entries.data(), entries.data() + entries.size(), w,
-      [](const AudWord& e, std::uint32_t word) { return e.word < word; });
-  if (it == entries.data() + entries.size() || it->word != w) return kNoLink;
-  const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-  if ((it->bits & bit) == 0) return kNoLink;
-  return it->prr_off +
-         static_cast<std::size_t>(std::popcount(it->bits & (bit - 1)));
-}
-
-void Topology::build_link_tables(std::uint64_t shadow_seed) {
-  const std::size_t n = positions_.size();
-  rssi_.assign(n * n, -200.0);
-  prr_.assign(n * n, 0.0);
-  crypto::Xoshiro256 rng(shadow_seed);
-
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      // Box-Muller for the lognormal shadowing term, frozen per link.
-      const double u1 = std::max(rng.next_double(), 1e-12);
-      const double u2 = rng.next_double();
-      const double gauss =
-          std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-      const double shadow = gauss * radio_.shadowing_sigma_db;
-      const double power = radio_.rx_power_dbm(distance(a, b), shadow);
-      rssi_[idx(a, b)] = rssi_[idx(b, a)] = power;
-      // PRR is directional when the receiving end sits in local noise.
-      double p_ab = radio_.prr_from_rssi(power - rx_penalty_[b]);  // a -> b
-      double p_ba = radio_.prr_from_rssi(power - rx_penalty_[a]);  // b -> a
-      if (p_ab < radio_.link_floor_prr) p_ab = 0.0;
-      if (p_ba < radio_.link_floor_prr) p_ba = 0.0;
-      prr_[idx(a, b)] = p_ab;
-      prr_[idx(b, a)] = p_ba;
-    }
+void Topology::record_pair(NodeId a, NodeId b, double u1, double u2,
+                           bool storable, Draws& out) const {
+  // Box-Muller for the lognormal shadowing term, frozen per link.
+  const double gauss =
+      std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+  const double shadow = gauss * radio_.shadowing_sigma_db;
+  const double power = radio_.rx_power_dbm(distance(a, b), shadow);
+  // PRR is directional when the receiving end sits in local noise.
+  const auto clears = [&](double rx_dbm, NodeId rx) {
+    return radio_.prr_from_rssi(rx_dbm - rx_penalty_[rx]) >=
+           radio_.link_floor_prr;
+  };
+  double p_ab = radio_.prr_from_rssi(power - rx_penalty_[b]);  // a -> b
+  double p_ba = radio_.prr_from_rssi(power - rx_penalty_[a]);  // b -> a
+  if (p_ab < radio_.link_floor_prr) p_ab = 0.0;
+  if (p_ba < radio_.link_floor_prr) p_ba = 0.0;
+  if (storable && p_ab > 0.0) out.links.push_back({a, b, p_ab, power});
+  if (storable && p_ba > 0.0) out.links.push_back({b, a, p_ba, power});
+  // Stored links are near by construction; other pairs are near when
+  // the headroom lifts them over the floor.
+  if (p_ab > 0.0 || p_ba > 0.0 || clears(power + kNearHeadroomDb, b) ||
+      clears(power + kNearHeadroomDb, a)) {
+    out.near.push_back({a, b, power});
   }
 }
 
-std::vector<Topology::LinkDrawRecord> Topology::draw_links_sequential(
-    std::uint64_t shadow_seed) {
-  // The exact RNG consumption and arithmetic of build_link_tables —
-  // every pair is drawn in (a, b) order from one stream — collected as
-  // sparse records instead of matrix writes. O(n^2) time, O(links)
-  // memory: usable up to a few hundred thousand nodes, and the anchor
-  // for the sparse-vs-dense bit-identity suite.
+Topology::Draws Topology::draw_sequential(std::uint64_t shadow_seed) const {
+  // One stream, every pair drawn in (a, b) order: O(n^2) time, O(near
+  // pairs) memory — the historic stream every scenario topology uses.
   const std::size_t n = positions_.size();
   crypto::Xoshiro256 rng(shadow_seed);
-  std::vector<LinkDrawRecord> links;
-
+  Draws draws;
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
       const double u1 = std::max(rng.next_double(), 1e-12);
       const double u2 = rng.next_double();
-      const double gauss =
-          std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-      const double shadow = gauss * radio_.shadowing_sigma_db;
-      const double power = radio_.rx_power_dbm(distance(a, b), shadow);
-      double p_ab = radio_.prr_from_rssi(power - rx_penalty_[b]);
-      double p_ba = radio_.prr_from_rssi(power - rx_penalty_[a]);
-      if (p_ab < radio_.link_floor_prr) p_ab = 0.0;
-      if (p_ba < radio_.link_floor_prr) p_ba = 0.0;
-      if (p_ab > 0.0) links.push_back({a, b, p_ab, power});
-      if (p_ba > 0.0) links.push_back({b, a, p_ba, power});
+      record_pair(a, b, u1, u2, /*storable=*/true, draws);
     }
   }
-  return links;
+  return draws;
 }
 
-std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
-    std::uint64_t shadow_seed) {
+Topology::Draws Topology::draw_keyed(std::uint64_t shadow_seed) const {
   const std::size_t n = positions_.size();
 
-  // Cull radius: beyond this distance even a +kCullSigmas shadowing
-  // draw cannot lift received power to the PRR floor (receiver noise
-  // penalties only push links further down), so the pair can never
-  // produce a stored link and is skipped without drawing.
+  // Cull radii: beyond store_m even a +kCullSigmas shadowing draw cannot
+  // lift received power to the PRR floor (receiver noise penalties only
+  // push links further down), so the pair never produces a stored link;
+  // beyond near_m it cannot reach near either, and is skipped without
+  // drawing. Pairs in between are drawn for their RSSI only, which keeps
+  // the stored links exactly those of a store_m-culled draw.
   double span_x = 0.0, span_y = 0.0, min_x = 0.0, min_y = 0.0;
   {
     double max_x = positions_[0].x, max_y = positions_[0].y;
@@ -284,7 +254,8 @@ std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
     span_y = max_y - min_y;
   }
   const double diagonal = std::sqrt(span_x * span_x + span_y * span_y);
-  double cull_m = diagonal + 1.0;  // no cull unless the floor gives one
+  double store_m = diagonal + 1.0;  // no cull unless the floor gives one
+  double near_m = store_m;
   if (radio_.link_floor_prr > 0.0 && radio_.link_floor_prr < 1.0) {
     const double rssi_floor =
         radio_.prr_mid_dbm +
@@ -292,14 +263,18 @@ std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
             std::log(radio_.link_floor_prr / (1.0 - radio_.link_floor_prr));
     const double budget = radio_.tx_power_dbm - radio_.path_loss_at_1m_db +
                           kCullSigmas * radio_.shadowing_sigma_db - rssi_floor;
-    cull_m = std::clamp(
-        std::pow(10.0, budget / (10.0 * radio_.path_loss_exponent)), 1.0,
-        diagonal + 1.0);
+    const auto radius = [&](double budget_db) {
+      return std::clamp(
+          std::pow(10.0, budget_db / (10.0 * radio_.path_loss_exponent)), 1.0,
+          diagonal + 1.0);
+    };
+    store_m = radius(budget);
+    near_m = radius(budget + kNearHeadroomDb);
   }
 
-  // Spatial hash with cell size == cull radius: candidates for node a
+  // Spatial hash with cell size == near radius: candidates for node a
   // live in the 3x3 cell block around it.
-  const double cell = cull_m;
+  const double cell = near_m;
   auto cell_key =
       [&](const Position& p) -> std::pair<std::int64_t, std::int64_t> {
     return {static_cast<std::int64_t>(std::floor((p.x - min_x) / cell)),
@@ -316,7 +291,7 @@ std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
     buckets[bucket_of(cx, cy)].push_back(i);
   }
 
-  std::vector<LinkDrawRecord> links;
+  Draws draws;
   for (NodeId a = 0; a < n; ++a) {
     const auto [cx, cy] = cell_key(positions_[a]);
     for (std::int64_t dx = -1; dx <= 1; ++dx) {
@@ -325,7 +300,8 @@ std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
         if (it == buckets.end()) continue;
         for (const NodeId b : it->second) {
           if (b <= a) continue;  // each unordered pair exactly once
-          if (distance(a, b) > cull_m) continue;
+          const double d = distance(a, b);
+          if (d > near_m) continue;
           // Independent stream per *global* pair id: the draw depends
           // only on the physical pair, not on enumeration order or on
           // which slice of the deployment is being built.
@@ -335,93 +311,65 @@ std::vector<Topology::LinkDrawRecord> Topology::draw_links_keyed(
               shadow_seed, kStreamLinkShadow, (lo << 32) | hi));
           const double u1 = std::max(rng.next_double(), 1e-12);
           const double u2 = rng.next_double();
-          const double gauss =
-              std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-          const double shadow = gauss * radio_.shadowing_sigma_db;
-          const double power = radio_.rx_power_dbm(distance(a, b), shadow);
-          double p_ab = radio_.prr_from_rssi(power - rx_penalty_[b]);
-          double p_ba = radio_.prr_from_rssi(power - rx_penalty_[a]);
-          if (p_ab < radio_.link_floor_prr) p_ab = 0.0;
-          if (p_ba < radio_.link_floor_prr) p_ba = 0.0;
-          if (p_ab > 0.0) links.push_back({a, b, p_ab, power});
-          if (p_ba > 0.0) links.push_back({b, a, p_ba, power});
+          record_pair(a, b, u1, u2, /*storable=*/d <= store_m, draws);
         }
       }
     }
   }
-  return links;
+  return draws;
 }
 
-void Topology::fill_dense_from_links(const std::vector<LinkDrawRecord>& links) {
+void Topology::build(Draws draws) {
   const std::size_t n = positions_.size();
-  rssi_.assign(n * n, -200.0);
-  prr_.assign(n * n, 0.0);
-  for (const LinkDrawRecord& l : links) {
-    prr_[idx(l.tx, l.rx)] = l.prr;
-    // Shadowing (and thus RSSI) is symmetric; both directions of a
-    // stored pair carry the same power.
-    rssi_[idx(l.tx, l.rx)] = rssi_[idx(l.rx, l.tx)] = l.rssi;
-  }
-}
+  std::vector<Link>& links = draws.links;
+  std::sort(links.begin(), links.end(), [](const Link& x, const Link& y) {
+    return x.tx != y.tx ? x.tx < y.tx : x.rx < y.rx;
+  });
 
-void Topology::build_sparse_from_links(std::vector<LinkDrawRecord> links) {
-  const std::size_t n = positions_.size();
-  std::sort(links.begin(), links.end(),
-            [](const LinkDrawRecord& x, const LinkDrawRecord& y) {
-              return x.tx != y.tx ? x.tx < y.tx : x.rx < y.rx;
-            });
-
-  // Outbound CSR with aligned PRR/RSSI payloads.
+  // Outbound CSR with aligned PRR payloads.
   const std::size_t e = links.size();
   csr_offsets_.assign(n + 1, 0);
   csr_neighbors_.resize(e);
   out_prr_.resize(e);
-  out_rssi_.resize(e);
   for (std::size_t i = 0; i < e; ++i) {
     ++csr_offsets_[links[i].tx + 1];
     csr_neighbors_[i] = links[i].rx;
     out_prr_[i] = links[i].prr;
-    out_rssi_[i] = links[i].rssi;
   }
   for (std::size_t i = 0; i < n; ++i) csr_offsets_[i + 1] += csr_offsets_[i];
+  // Inbound runs: the (tx, rx)-sorted links list each receiver's
+  // transmitters ascending — the order CT arbitration multiplies its
+  // loss chain in.
+  aud_.assign(n, links);
 
-  // Inbound lists by counting sort on receiver. Walking the (tx, rx)-
-  // sorted records keeps each receiver's transmitters ascending — the
-  // order the dense bitmap-row scan visits them, which the CT
-  // arbitration identity depends on.
-  std::vector<std::uint32_t> in_off(n + 1, 0);
-  for (const LinkDrawRecord& l : links) ++in_off[l.rx + 1];
-  for (std::size_t i = 0; i < n; ++i) in_off[i + 1] += in_off[i];
-  std::vector<NodeId> in_tx(e);
-  in_prr_.resize(e);
+  // Near pairs in both directions. Walking the (a, b)-sorted pairs fills
+  // node r's row with its partners below r (ascending a) before those
+  // above (ascending b), so every row comes out ascending.
+  std::vector<NearRecord>& near_pairs = draws.near;
+  std::sort(near_pairs.begin(), near_pairs.end(),
+            [](const NearRecord& x, const NearRecord& y) {
+              return x.a != y.a ? x.a < y.a : x.b < y.b;
+            });
+  near_offsets_.assign(n + 1, 0);
+  for (const NearRecord& p : near_pairs) {
+    ++near_offsets_[p.a + 1];
+    ++near_offsets_[p.b + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) near_offsets_[i + 1] += near_offsets_[i];
+  near_ids_.resize(near_offsets_[n]);
+  near_rssi_.resize(near_offsets_[n]);
   {
-    std::vector<std::uint32_t> cursor(in_off.begin(), in_off.end() - 1);
-    for (const LinkDrawRecord& l : links) {
-      const std::uint32_t pos = cursor[l.rx]++;
-      in_tx[pos] = l.tx;
-      in_prr_[pos] = l.prr;
+    std::vector<std::uint32_t> cursor(near_offsets_.begin(),
+                                      near_offsets_.end() - 1);
+    for (const NearRecord& p : near_pairs) {
+      near_ids_[cursor[p.a]] = p.b;
+      near_rssi_[cursor[p.a]++] = p.rssi;
+      near_ids_[cursor[p.b]] = p.a;
+      near_rssi_[cursor[p.b]++] = p.rssi;
     }
   }
 
-  // Pack each receiver's transmitter list into audibility word runs.
-  node_words_ = (n + 63) / 64;
-  aud_offsets_.assign(n + 1, 0);
-  aud_words_.clear();
-  for (std::size_t r = 0; r < n; ++r) {
-    aud_offsets_[r] = static_cast<std::uint32_t>(aud_words_.size());
-    for (std::uint32_t k = in_off[r]; k < in_off[r + 1]; ++k) {
-      const NodeId t = in_tx[k];
-      const std::uint32_t w = t / 64;
-      if (aud_words_.empty() || aud_offsets_[r] == aud_words_.size() ||
-          aud_words_.back().word != w) {
-        aud_words_.push_back({w, k, 0});
-      }
-      aud_words_.back().bits |= std::uint64_t{1} << (t % 64);
-    }
-  }
-  aud_offsets_[n] = static_cast<std::uint32_t>(aud_words_.size());
-
-  // Connectivity over usable links must hold, as on the dense tier.
+  // Connectivity over usable links must hold.
   {
     std::vector<bool> reachable(n, false);
     std::deque<NodeId> queue{0};
@@ -441,89 +389,8 @@ void Topology::build_sparse_from_links(std::vector<LinkDrawRecord> links) {
     MPCIOT_REQUIRE(count == n, "Topology: network is partitioned");
   }
 
-  hop_cache_ = std::make_unique<HopCache>();
-  sparse_center_and_diameter();
-}
-
-void Topology::build_derived_tables() {
-  const std::size_t n = positions_.size();
-  prr_in_.assign(n * n, 0.0);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) prr_in_[idx(b, a)] = prr_[idx(a, b)];
-  }
-  // CSR adjacency over usable outbound links, plus the inbound
-  // audibility bitmaps the CT hot loop intersects per sub-slot.
-  csr_offsets_.assign(n + 1, 0);
-  csr_neighbors_.clear();
-  csr_neighbors_.reserve(n * 4);
-  out_prr_.clear();
-  out_prr_.reserve(n * 4);
-  node_words_ = (n + 63) / 64;
-  rx_words_.assign(n * node_words_, 0);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (a != b && prr_[idx(a, b)] >= radio_.link_floor_prr) {
-        csr_neighbors_.push_back(b);
-        out_prr_.push_back(prr_[idx(a, b)]);
-      }
-      if (a != b && prr_[idx(b, a)] > 0.0) {
-        rx_words_[a * node_words_ + b / 64] |= std::uint64_t{1} << (b % 64);
-      }
-    }
-    csr_offsets_[a + 1] = static_cast<std::uint32_t>(csr_neighbors_.size());
-  }
-
-  // Hop distances by BFS over good links (prr >= 0.5).
-  hops_.assign(n * n, kInvalidHops);
-  for (NodeId src = 0; src < n; ++src) {
-    hops_[idx(src, src)] = 0;
-    std::deque<NodeId> queue{src};
-    while (!queue.empty()) {
-      const NodeId cur = queue.front();
-      queue.pop_front();
-      for (NodeId nb : neighbors(cur)) {
-        if (prr_[idx(cur, nb)] < 0.5) continue;
-        if (hops_[idx(src, nb)] != kInvalidHops) continue;
-        hops_[idx(src, nb)] = hops_[idx(src, cur)] + 1;
-        queue.push_back(nb);
-      }
-    }
-  }
-
-  // Connectivity over usable links (floor PRR) must hold; over *good*
-  // links we additionally compute diameter/center when connected.
-  std::vector<bool> reachable(n, false);
-  std::deque<NodeId> queue{0};
-  reachable[0] = true;
-  std::size_t count = 1;
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    for (NodeId nb : neighbors(cur)) {
-      if (!reachable[nb]) {
-        reachable[nb] = true;
-        ++count;
-        queue.push_back(nb);
-      }
-    }
-  }
-  MPCIOT_REQUIRE(count == n, "Topology: network is partitioned");
-
-  diameter_ = 0;
-  std::uint32_t best_ecc = kInvalidHops;
-  center_ = 0;
-  for (NodeId a = 0; a < n; ++a) {
-    std::uint32_t ecc = 0;
-    for (NodeId b = 0; b < n; ++b) {
-      const std::uint32_t h = hops_[idx(a, b)];
-      if (h != kInvalidHops && h > ecc) ecc = h;
-      if (h != kInvalidHops && h > diameter_) diameter_ = h;
-    }
-    if (ecc < best_ecc) {
-      best_ecc = ecc;
-      center_ = a;
-    }
-  }
+  hop_cache_ = std::make_unique<HopCache>(n);
+  center_and_diameter();
 }
 
 void Topology::bfs_row(NodeId start, bool reverse,
@@ -557,7 +424,7 @@ void Topology::bfs_row(NodeId start, bool reverse,
           const int b = std::countr_zero(bits);
           bits &= bits - 1;
           const NodeId t = e.word * 64 + static_cast<std::uint32_t>(b);
-          const double p = in_prr_[e.prr_off + rank];
+          const double p = aud_.prr[e.slot + rank];
           ++rank;
           if (p < 0.5 || dist[t] != kInvalidHops) continue;
           dist[t] = next;
@@ -568,16 +435,16 @@ void Topology::bfs_row(NodeId start, bool reverse,
   }
 }
 
-void Topology::sparse_center_and_diameter() {
+void Topology::center_and_diameter() {
   const std::size_t n = positions_.size();
   std::vector<std::uint32_t> dist;
   std::vector<NodeId> queue;
   diameter_ = 0;
   center_ = 0;
 
-  if (n <= kDenseMaxNodes) {
-    // Exact eccentricities (n BFS runs), replicating the dense
-    // tie-break: strict improvement keeps the lowest node id.
+  if (n <= kExactMaxNodes) {
+    // Exact eccentricities (n BFS runs); strict improvement keeps the
+    // lowest node id on ties.
     std::uint32_t best_ecc = kInvalidHops;
     for (NodeId a = 0; a < n; ++a) {
       bfs_row(a, /*reverse=*/false, dist, queue);
@@ -634,44 +501,29 @@ void Topology::sparse_center_and_diameter() {
   }
 }
 
-const std::uint32_t* Topology::hops_from(NodeId src) const {
-  if (!sparse_) {
-    return hops_.data() + static_cast<std::size_t>(src) * positions_.size();
-  }
+const std::uint32_t* Topology::hop_row(NodeId node, bool reverse) const {
+  // Caller holds hop_cache_->mu.
   HopCache& cache = *hop_cache_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  auto it = cache.fwd.find(src);
-  if (it == cache.fwd.end()) {
-    std::vector<std::uint32_t> dist;
+  const std::uint32_t*& row = (reverse ? cache.rev : cache.fwd)[node];
+  if (row == nullptr) {
     std::vector<NodeId> queue;
-    bfs_row(src, /*reverse=*/false, dist, queue);
-    it = cache.fwd.emplace(src, std::move(dist)).first;
+    bfs_row(node, reverse, cache.rows.emplace_back(), queue);
+    row = cache.rows.back().data();
   }
-  return it->second.data();
+  return row;
+}
+
+const std::uint32_t* Topology::hops_from(NodeId src) const {
+  std::lock_guard<std::mutex> lock(hop_cache_->mu);
+  return hop_row(src, /*reverse=*/false);
 }
 
 std::uint32_t Topology::hops(NodeId a, NodeId b) const {
-  if (!sparse_) return hops_[idx(a, b)];
-  return sparse_hops(a, b);
-}
-
-std::uint32_t Topology::sparse_hops(NodeId a, NodeId b) const {
-  HopCache& cache = *hop_cache_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (const auto it = cache.fwd.find(a); it != cache.fwd.end()) {
-    return it->second[b];
-  }
-  auto it = cache.rev.find(b);
-  if (it == cache.rev.end()) {
-    // Build the reverse row: the common sparse pattern is many sources
-    // asking about one hot target (the network center), so one reverse
-    // BFS answers them all.
-    std::vector<std::uint32_t> dist;
-    std::vector<NodeId> queue;
-    bfs_row(b, /*reverse=*/true, dist, queue);
-    it = cache.rev.emplace(b, std::move(dist)).first;
-  }
-  return it->second[a];
+  std::lock_guard<std::mutex> lock(hop_cache_->mu);
+  if (const std::uint32_t* row = hop_cache_->fwd[a]) return row[b];
+  // The common pattern is many sources asking about one hot target (the
+  // network center), so one reverse BFS answers them all.
+  return hop_row(b, /*reverse=*/true)[a];
 }
 
 }  // namespace mpciot::net

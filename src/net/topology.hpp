@@ -1,4 +1,4 @@
-// Network topology: node positions plus the derived static link table
+// Network topology: node positions plus the derived static link tables
 // (RSSI with frozen shadowing, static PRR, connectivity graph, hop
 // distances).
 //
@@ -6,30 +6,24 @@
 // assumption testbed people make when they speak of "the" PRR of a link —
 // while fast fading is redrawn per packet by the reception model.
 //
-// Two storage tiers live behind one accessor surface (see
-// docs/ARCHITECTURE.md "Memory model & scaling"):
+// One storage form serves every size, from the 26-node testbeds to
+// 262k-node trees (see docs/ARCHITECTURE.md "Memory model & scaling"):
+// only links with non-zero PRR are stored — CSR outbound adjacency with
+// per-link PRR, per-receiver audibility word runs (AudRuns: 64-bit words
+// indexing each inbound link's PRR and RSSI) — and hop distances come
+// from lazy BFS rows (forward and reverse, cached per queried endpoint).
+// Frozen RSSI is also kept for the *near* pairs: those whose PRR would
+// clear the floor with kNearHeadroomDb more signal, i.e. every pair a
+// bounded channel model can ever make audible. Memory is O(n + near
+// pairs).
 //
-//  * **dense leaf** (n <= kDenseMaxNodes, or forced): the historic
-//    O(n^2) tables — full RSSI/PRR matrices, transposed PRR rows,
-//    audibility bitmap rows and the all-pairs hop matrix. Hot-path
-//    layout and every derived byte are unchanged from before the split.
-//  * **sparse root** (above the threshold, or forced): only links with
-//    non-zero PRR are stored — CSR outbound adjacency with per-link
-//    PRR/RSSI payloads, per-receiver audibility *word-lists* (64-bit
-//    word runs + an index into a flat inbound-PRR array) instead of
-//    n^2/64-bit rows, and lazy BFS hop rows (forward and reverse,
-//    cached per queried endpoint) instead of the n^2 hop matrix. At
-//    n = 10^5 the dense tables would be ~320 GB; the sparse form is
-//    O(n + links).
-//
-// Link draws are an orthogonal knob: the historic *sequential* stream
-// draws one Box–Muller shadowing value per (a < b) pair in order (exact
-// O(n^2) work, bit-identical to the dense seed for either storage), and
-// the *keyed* generator derives an independent stream per pair from the
+// Link draws: the historic *sequential* stream draws one Box–Muller
+// shadowing value per (a < b) pair in order (exact O(n^2) work), and the
+// *keyed* generator derives an independent stream per pair from the
 // pair's global ids and skips pairs beyond a conservative cull radius
 // (the distance at which even a +5 sigma shadowing draw cannot lift the
-// link above the audibility floor) — O(n) with a spatial hash, which is
-// what makes 10^5..10^6-node topologies constructible at all.
+// pair to near) — O(n) with a spatial hash, which is what makes
+// 10^5..10^6-node topologies constructible at all.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "net/radio_model.hpp"
 
@@ -50,43 +43,80 @@ struct Position {
   double y = 0.0;
 };
 
-/// Storage tier selection (kAuto: dense up to kDenseMaxNodes).
-enum class TopologyStorage : std::uint8_t { kAuto, kDense, kSparse };
-
 /// Shadowing-draw generator selection (kAuto: sequential up to
-/// kDenseMaxNodes — the historic stream — keyed-and-culled above).
+/// kExactMaxNodes — the historic stream — keyed-and-culled above).
 enum class LinkDraw : std::uint8_t { kAuto, kSequential, kKeyed };
 
 struct TopologyOptions {
-  TopologyStorage storage = TopologyStorage::kAuto;
   LinkDraw draw = LinkDraw::kAuto;
 };
 
-/// One 64-transmitter word of a receiver's inbound audibility bitmap
-/// (sparse storage only). Bit b of `bits` set means transmitter
-/// word*64+b is audible; its inbound PRR sits at
-/// in_prr_data()[prr_off + popcount(bits & ((1 << b) - 1))]. Scanning a
-/// receiver's word-list in order visits transmitters in ascending id
-/// order — exactly the dense bitmap-row scan order, so CT arbitration
-/// consumes identical float sequences and RNG draws on either tier.
+/// One 64-transmitter word of a receiver's inbound audibility row. Bit b
+/// of `bits` set means transmitter word*64+b is audible; its link sits at
+/// slot + popcount(bits & ((1 << b) - 1)) of the PRR and RSSI arrays.
+/// Scanning a receiver's runs in order visits transmitters in ascending
+/// id order, so CT arbitration multiplies its loss chain in one fixed
+/// order.
 struct AudWord {
   std::uint32_t word = 0;
-  std::uint32_t prr_off = 0;
+  std::uint32_t slot = 0;
   std::uint64_t bits = 0;
+};
+
+/// What slot lookups answer for a transmitter the row does not list.
+inline constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+/// One directed link tx -> rx: its PRR and the pair's frozen RSSI.
+struct Link {
+  NodeId tx = 0;
+  NodeId rx = 0;
+  double prr = 0.0;
+  double rssi = 0.0;
+};
+
+/// Inbound links of every receiver in word-run form: receiver r's runs
+/// are words[offsets[r] .. offsets[r + 1]), ascending by word, and list
+/// exactly the transmitters r hears with PRR > 0. Each link's PRR and
+/// RSSI sit at its slot, receiver-major.
+struct AudRuns {
+  std::vector<std::uint32_t> offsets;
+  std::vector<AudWord> words;
+  std::vector<double> prr;
+  std::vector<double> rssi;
+
+  std::span<const AudWord> row(NodeId r) const {
+    return {words.data() + offsets[r], words.data() + offsets[r + 1]};
+  }
+
+  /// Slot of transmitter t in receiver r's row, or kNoSlot.
+  std::size_t slot(NodeId r, NodeId t) const;
+
+  /// Rebuild the rows of `receivers` nodes from `links` (PRR > 0), in
+  /// which each receiver's transmitters ascend.
+  void assign(std::size_t receivers, std::span<const Link> links);
 };
 
 class Topology {
  public:
-  /// Auto threshold: topologies at or below this node count store dense
-  /// tables (all pre-existing testbeds and scenarios are <= 1024, so
-  /// their bytes are untouched by the two-tier split).
-  static constexpr std::size_t kDenseMaxNodes = 2048;
+  /// Up to this node count links come from the historic sequential
+  /// shadowing stream and the center and diameter are exact (one BFS
+  /// per node). Above it, keyed-and-culled draws and a double-sweep
+  /// estimate keep construction near O(n + links). Every testbed and
+  /// scenario topology up to 1024 nodes sits below it.
+  static constexpr std::size_t kExactMaxNodes = 2048;
 
   /// Keyed-draw cull bound: pairs whose deterministic path loss cannot
-  /// reach the audibility floor even with a +kCullSigmas shadowing draw
-  /// are never drawn. P(gauss > 5 sigma) ~ 3e-7 per pair — a handful of
-  /// the weakest possible fringe links across millions of pairs.
+  /// reach near even with a +kCullSigmas shadowing draw are never drawn.
+  /// P(gauss > 5 sigma) ~ 3e-7 per pair — a handful of the weakest
+  /// possible fringe links across millions of pairs.
   static constexpr double kCullSigmas = 5.0;
+
+  /// Near-pair headroom (dB): a pair keeps its frozen RSSI iff its PRR
+  /// clears link_floor_prr in some direction at rssi + kNearHeadroomDb.
+  /// A channel model that lifts a link by at most this much can only
+  /// make near pairs audible (sim::dynamics::LinkDynamics requires its
+  /// drift bound to fit).
+  static constexpr double kNearHeadroomDb = 5.0;
 
   /// Build a topology from node positions. `shadow_seed` freezes the
   /// per-link shadowing draw. Postcondition: the PRR graph (links with
@@ -99,9 +129,9 @@ class Topology {
   /// PRR becomes directional, as on real testbeds with local
   /// interference (e.g. DCube's JamLab generators).
   ///
-  /// `options` selects the storage tier and draw generator; the
-  /// defaults reproduce the historic behaviour bit for bit at historic
-  /// sizes and switch to sparse/keyed above kDenseMaxNodes.
+  /// `options` selects the draw generator; the default reproduces the
+  /// historic stream bit for bit up to kExactMaxNodes and switches to
+  /// keyed draws above it.
   Topology(std::vector<Position> positions, RadioParams radio,
            std::uint64_t shadow_seed,
            std::vector<double> rx_noise_penalty_db = {},
@@ -112,15 +142,13 @@ class Topology {
   ~Topology();
 
   /// Build the subtopology induced by `members` (ascending, unique parent
-  /// node ids): node i of the result is members[i], and every link keeps
-  /// the parent's frozen RSSI/PRR — the same radios, restricted to
-  /// in-group traffic (e.g. one group of a hierarchical round on its own
-  /// channel). Derived tables (CSR adjacency, hop distances, center) are
-  /// rebuilt for the subgraph. From a sparse parent this is
-  /// O(members + links); the child picks its own tier by size, so leaf
-  /// groups of a giant deployment come out dense (bit-identical hot
-  /// paths) while intermediate slices stay sparse. Throws like the main
-  /// constructor when the induced usable-link graph is not connected.
+  /// node ids): node i of the result is members[i], and every link and
+  /// near pair keeps the parent's frozen RSSI/PRR — the same radios,
+  /// restricted to in-group traffic (e.g. one group of a hierarchical
+  /// round on its own channel). Derived tables (adjacency, audibility,
+  /// center) are rebuilt for the subgraph in O(members + links). Throws
+  /// like the main constructor when the induced usable-link graph is not
+  /// connected.
   static Topology induced(const Topology& parent,
                           const std::vector<NodeId>& members);
 
@@ -128,15 +156,10 @@ class Topology {
   const RadioParams& radio() const { return radio_; }
   const Position& position(NodeId n) const { return positions_[n]; }
 
-  /// True when this topology stores the sparse tier (no dense rows; use
-  /// the word-list / point-query / lazy-hop accessors).
-  bool sparse() const { return sparse_; }
-
   double distance(NodeId a, NodeId b) const;
 
-  /// Frozen received power on a -> b (symmetric shadowing). Sparse tier:
-  /// -200 dBm for pairs with no stored link in either direction (the
-  /// value dense tables hold for never-drawn pairs).
+  /// Frozen received power on a -> b (symmetric shadowing) for near
+  /// pairs; -200 dBm for every other pair and for a == b.
   double rssi(NodeId a, NodeId b) const;
 
   /// Static packet reception rate a -> b; 0 for a == b.
@@ -151,14 +174,6 @@ class Topology {
   double prr_at(NodeId a, NodeId b, SimTime t,
                 const ChannelModel* model = nullptr) const;
 
-  /// Raw row-major static PRR table: prr(a, b) == prr_data()[a*size()+b].
-  /// Backing store for ChannelView's static (null-model) binding.
-  /// Dense tier only.
-  const double* prr_data() const {
-    MPCIOT_DCHECK(!sparse_, "Topology: prr_data is dense-only");
-    return prr_.data();
-  }
-
   /// Receiver-side noise penalty (dB) degrading node n's inbound links
   /// (see the constructor); 0 for quiet spots. Channel models re-apply
   /// it when they recompute PRR from drifted RSSI.
@@ -172,180 +187,123 @@ class Topology {
   /// same state as a parent-level flood at the same instant.
   NodeId global_id(NodeId n) const { return global_ids_[n]; }
 
-  /// Receiver-major PRR row: prr_into(r)[t] == prr(t, r). Contiguous per
-  /// receiver, so per-sub-slot arbitration walks it cache-friendly.
-  /// Dense tier only (sparse arbitration walks audible_entries +
-  /// in_prr_data instead).
-  const double* prr_into(NodeId r) const {
-    MPCIOT_DCHECK(!sparse_, "Topology: prr_into is dense-only");
-    return prr_in_.data() + static_cast<std::size_t>(r) * positions_.size();
-  }
-
   bool has_link(NodeId a, NodeId b) const {
     return a != b && prr(a, b) >= radio_.link_floor_prr;
   }
 
   /// Neighbours with a usable outbound link (prr(n, nb) >= floor), in
-  /// ascending id order. Backed by the CSR adjacency (both tiers).
+  /// ascending id order.
   std::span<const NodeId> neighbors(NodeId n) const {
     return {csr_neighbors_.data() + csr_offsets_[n],
             csr_neighbors_.data() + csr_offsets_[n + 1]};
   }
 
-  /// Outbound link payloads aligned with neighbors(n): out_prr(n)[i] is
-  /// the PRR of the link to neighbors(n)[i] (both tiers).
-  std::span<const double> out_prr(NodeId n) const {
-    return {out_prr_.data() + csr_offsets_[n],
-            out_prr_.data() + csr_offsets_[n + 1]};
-  }
-
-  /// Flat base of the outbound PRR payloads (link_index order).
-  const double* out_prr_data() const { return out_prr_.data(); }
-
-  /// Total stored directed links (== sum of neighbor-list lengths).
-  std::size_t num_links() const { return csr_neighbors_.size(); }
-
   /// Words per node-indexed bitmap row (ceil(size / 64)).
-  std::size_t node_words() const { return node_words_; }
+  std::size_t node_words() const { return (positions_.size() + 63) / 64; }
 
-  /// Inbound audibility bitmap of receiver `r`: bit t set iff
-  /// prr(t, r) > 0, i.e. transmitter t can be heard by r at all. One row
-  /// of `node_words()` 64-bit words; the CT engines intersect it with
-  /// the per-sub-slot transmitter set to skip deaf receivers without
-  /// scanning the transmitter list. Dense tier only.
-  const std::uint64_t* audible_words(NodeId r) const {
-    MPCIOT_DCHECK(!sparse_, "Topology: audible_words is dense-only");
-    return rx_words_.data() + static_cast<std::size_t>(r) * node_words_;
-  }
-
-  /// Sparse-tier audibility word-list of receiver `r` (see AudWord):
-  /// the non-zero words of the bitmap row audible_words would hold, in
-  /// ascending word order.
+  /// Inbound links of every receiver: transmitter t is listed in
+  /// receiver r's row iff prr(t, r) > 0.
+  const AudRuns& audibility() const { return aud_; }
   std::span<const AudWord> audible_entries(NodeId r) const {
-    return {aud_words_.data() + aud_offsets_[r],
-            aud_words_.data() + aud_offsets_[r + 1]};
+    return aud_.row(r);
   }
 
-  /// Flat inbound-PRR array the AudWord prr_off fields index (sparse
-  /// tier): receiver-major, ascending transmitter within a receiver.
-  const double* in_prr_data() const { return in_prr_.data(); }
-
-  /// Index of the directed link a -> b in the flat outbound payload
-  /// order (csr_neighbors_ / out_prr order), or kNoLink when the link
-  /// is not stored. Both tiers; used by sparse channel models to align
-  /// epoch payloads with the static CSR.
-  static constexpr std::size_t kNoLink = static_cast<std::size_t>(-1);
-  std::size_t link_index(NodeId a, NodeId b) const;
-
-  /// Index of the inbound link t -> r in the in_prr_data() order, or
-  /// kNoLink. Sparse tier only.
-  std::size_t in_index(NodeId r, NodeId t) const;
+  /// Near partners of node n (see kNearHeadroomDb), ascending, and their
+  /// frozen RSSI (aligned). The relation is symmetric.
+  std::span<const NodeId> near(NodeId n) const {
+    return {near_ids_.data() + near_offsets_[n],
+            near_ids_.data() + near_offsets_[n + 1]};
+  }
+  std::span<const double> near_rssi(NodeId n) const {
+    return {near_rssi_.data() + near_offsets_[n],
+            near_rssi_.data() + near_offsets_[n + 1]};
+  }
 
   /// Hop distance over "good" links (prr >= 0.5); kInvalidHops if
-  /// unreachable over good links. Dense: an O(1) matrix read. Sparse:
-  /// served from the lazy per-endpoint BFS caches — a forward row for
-  /// `a` or a reverse row for `b` if either exists, else a reverse BFS
-  /// to `b` is run and cached (the common sparse pattern is many
+  /// unreachable over good links. Served from lazily built BFS rows: a
+  /// forward row for `a` if one exists, else a reverse row for `b`
+  /// (built on first use and cached — the common pattern is many
   /// sources asking about one target, e.g. hops to the center).
-  /// Thread-safe on both tiers.
+  /// Thread-safe.
   static constexpr std::uint32_t kInvalidHops = 0xFFFFFFFFu;
   std::uint32_t hops(NodeId a, NodeId b) const;
 
   /// Row of hop distances from `src` to every node (source-major
-  /// callers: partition seeding, holder election, initiator choice).
-  /// Dense: the matrix row. Sparse: a lazily built, cached forward BFS
-  /// row. The pointer stays valid for the topology's lifetime;
-  /// thread-safe.
+  /// callers: partition seeding, holder election, initiator choice): a
+  /// lazily built, cached forward BFS row. The pointer stays valid for
+  /// the topology's lifetime; thread-safe.
   const std::uint32_t* hops_from(NodeId src) const;
 
-  /// Network diameter in good-link hops. Sparse tier above
-  /// kDenseMaxNodes: a double-sweep lower bound (exact on trees, within
-  /// a small factor on geometric graphs) — callers use it to scale NTX
-  /// and slot budgets, not for correctness.
+  /// Network diameter in good-link hops. Above kExactMaxNodes: a
+  /// double-sweep lower bound (exact on trees, within a small factor on
+  /// geometric graphs) — callers use it to scale NTX and slot budgets,
+  /// not for correctness.
   std::uint32_t diameter() const { return diameter_; }
 
   /// Node with the minimum eccentricity (typical CT initiator choice).
-  /// Sparse tier above kDenseMaxNodes: the minimizer of
-  /// max(dist to the two sweep poles) — a near-central node.
+  /// Above kExactMaxNodes: the minimizer of max(dist to the two sweep
+  /// poles) — a near-central node.
   NodeId center_node() const { return center_; }
 
  private:
-  /// Uninitialized shell for induced(): link tables are filled by copy,
-  /// then build_derived_tables() / build_sparse_derived() completes
-  /// construction.
+  /// Uninitialized shell for induced(), completed by build().
   Topology() = default;
 
-  /// One stored directed link during construction (sorted into CSR /
-  /// word-list form by the sparse builders).
-  struct LinkDrawRecord {
-    NodeId tx = 0;
-    NodeId rx = 0;
-    double prr = 0.0;
+  /// One near pair (a < b) during construction.
+  struct NearRecord {
+    NodeId a = 0;
+    NodeId b = 0;
     double rssi = 0.0;
+  };
+  struct Draws {
+    std::vector<Link> links;
+    std::vector<NearRecord> near;
   };
   struct HopCache;
 
-  std::size_t idx(NodeId a, NodeId b) const {
-    return static_cast<std::size_t>(a) * positions_.size() + b;
-  }
-  /// Draw the frozen per-link RSSI/PRR tables from the radio model
-  /// (dense storage, sequential stream — the historic builder).
-  void build_link_tables(std::uint64_t shadow_seed);
-  /// Everything derivable from rssi_/prr_: transposed PRR, CSR adjacency,
-  /// audibility bitmaps, hop distances, connectivity check, center.
-  void build_derived_tables();
-
-  /// Sequential-stream link draws collected as sparse records (same RNG
-  /// consumption and floats as build_link_tables, different storage).
-  std::vector<LinkDrawRecord> draw_links_sequential(std::uint64_t shadow_seed);
-  /// Keyed-and-culled link draws: independent stream per global pair id,
+  /// Record pair (a < b) drawn with Box–Muller uniforms (u1, u2): its
+  /// directed links when `storable`, and the pair itself when near.
+  void record_pair(NodeId a, NodeId b, double u1, double u2, bool storable,
+                   Draws& out) const;
+  /// Sequential stream: every pair drawn in (a, b) order from one stream.
+  Draws draw_sequential(std::uint64_t shadow_seed) const;
+  /// Keyed-and-culled draws: independent stream per global pair id,
   /// spatial-hash candidate enumeration within the cull radius.
-  std::vector<LinkDrawRecord> draw_links_keyed(std::uint64_t shadow_seed);
-  /// Build the sparse tier (CSR + payloads + word-lists + center) from
-  /// a (tx, rx)-sorted record list; shared by construction and induced().
-  void build_sparse_from_links(std::vector<LinkDrawRecord> links);
-  /// Fill the dense tables from sparse records (forced-dense + keyed
-  /// draws, and dense children of sparse parents): unstored pairs keep
-  /// the never-drawn values (0 PRR, -200 dBm).
-  void fill_dense_from_links(const std::vector<LinkDrawRecord>& links);
+  Draws draw_keyed(std::uint64_t shadow_seed) const;
+  /// Build every table (CSR, audibility runs, near pairs, connectivity
+  /// check, center) from construction records; shared by construction
+  /// and induced().
+  void build(Draws draws);
 
-  /// Good-link BFS (prr >= 0.5) over the CSR, forward or reverse.
+  /// Index of the directed link a -> b in the CSR payload order, or
+  /// kNoSlot.
+  std::size_t link_index(NodeId a, NodeId b) const;
+  /// Good-link BFS (prr >= 0.5) over the stored links, forward or
+  /// reverse.
   void bfs_row(NodeId start, bool reverse, std::vector<std::uint32_t>& dist,
                std::vector<NodeId>& queue) const;
-  /// Sparse center/diameter: exact eccentricities up to kDenseMaxNodes,
-  /// double-sweep approximation above.
-  void sparse_center_and_diameter();
-  std::uint32_t sparse_hops(NodeId a, NodeId b) const;
+  /// The cached BFS row of `node`, built on first use; the caller holds
+  /// the cache's mutex.
+  const std::uint32_t* hop_row(NodeId node, bool reverse) const;
+  /// Exact eccentricities up to kExactMaxNodes, double sweep above.
+  void center_and_diameter();
 
   std::vector<Position> positions_;
   RadioParams radio_;
   std::vector<double> rx_penalty_;
   std::vector<NodeId> global_ids_;
-  bool sparse_ = false;
 
-  // --- dense tier ---
-  std::vector<double> rssi_;
-  std::vector<double> prr_;
-  std::vector<double> prr_in_;  // transposed: [receiver][transmitter]
-  std::size_t node_words_ = 0;
-  std::vector<std::uint64_t> rx_words_;
-  std::vector<std::uint32_t> hops_;
-
-  // --- both tiers ---
-  /// CSR adjacency over usable outbound links: neighbors of node n are
-  /// csr_neighbors_[csr_offsets_[n] .. csr_offsets_[n+1]).
+  /// CSR adjacency over stored outbound links: neighbors of node n are
+  /// csr_neighbors_[csr_offsets_[n] .. csr_offsets_[n+1]), PRRs aligned.
   std::vector<std::uint32_t> csr_offsets_;
   std::vector<NodeId> csr_neighbors_;
-  /// Outbound link payloads aligned with csr_neighbors_ (sparse tier;
-  /// dense keeps the matrices authoritative but fills these too so
-  /// out_prr()/link_index() work uniformly).
   std::vector<double> out_prr_;
-
-  // --- sparse tier ---
-  std::vector<double> out_rssi_;            // aligned with csr_neighbors_
-  std::vector<std::uint32_t> aud_offsets_;  // n+1 offsets into aud_words_
-  std::vector<AudWord> aud_words_;
-  std::vector<double> in_prr_;  // inbound PRRs, receiver-major
+  /// Inbound links in word-run form.
+  AudRuns aud_;
+  /// Near pairs, both directions: CSR over partners, RSSI aligned.
+  std::vector<std::uint32_t> near_offsets_;
+  std::vector<NodeId> near_ids_;
+  std::vector<double> near_rssi_;
   std::unique_ptr<HopCache> hop_cache_;
 
   std::uint32_t diameter_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/dynamics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -18,9 +17,9 @@ constexpr std::uint64_t kStreamGeInit = 0x47454930ull;   // "GEI0": epoch-0 draw
 constexpr std::uint64_t kStreamGeStep = 0x47455354ull;   // "GEST": chain steps
 constexpr std::uint64_t kStreamChurn = 0x43485255ull;    // "CHRU": schedules
 
-/// Safety margin (dB) of the dense tier's reachability decision: a pair
-/// is walked when its PRR clears the floor at this much more signal
-/// than the walk can ever produce.
+/// Safety margin (dB) of the walk's reachability decision: a pair is
+/// walked when its PRR clears the floor at this much more signal than
+/// the walk can ever produce.
 constexpr double kReachMarginDb = 1.0;
 
 /// Fade-stream key of link (a, b): its global identity, root-topology
@@ -51,103 +50,66 @@ LinkDynamics::LinkDynamics(LinkDynamicsParams params) : params_(params) {
                      params_.drift_sigma_db >= 0.0 &&
                      params_.drift_limit_db >= 0.0,
                  "LinkDynamics: dB knobs must be non-negative");
+  // The walk draws its pairs from the topology's near pairs, which cover
+  // every pair that can clear the floor within this much extra signal.
+  MPCIOT_REQUIRE(params_.drift_limit_db + kReachMarginDb <=
+                     net::Topology::kNearHeadroomDb,
+                 "LinkDynamics: drift_limit_db exceeds the near-pair headroom");
 }
 
 void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
                                net::LinkEpochTables& tables) const {
   const std::size_t n = topo.size();
-  const bool sparse = topo.sparse();
-
-  // Sparse tier: the chain walks only the *stored* undirected pairs, in
-  // canonical ascending (a, b) order — a deterministic function of the
-  // topology, so re-enumeration on every call indexes the persisted
-  // state arrays identically. Links the sparse build culled never enter
-  // the walk: drift cannot resurrect a link that was never stored (see
-  // ARCHITECTURE.md).
-  std::vector<std::pair<NodeId, NodeId>> stored_pairs;
-  std::vector<NodeId> in_tmp;
-  if (sparse) {
-    stored_pairs.reserve(topo.num_links() / 2 + 1);
-    for (NodeId a = 0; a < n; ++a) {
-      // Ascending out-neighbors > a, merged (dedup) with ascending
-      // in-transmitters > a decoded from the audibility word runs.
-      in_tmp.clear();
-      for (const net::AudWord& e : topo.audible_entries(a)) {
-        std::uint64_t bits = e.bits;
-        while (bits != 0) {
-          const NodeId t = e.word * 64 +
-                           static_cast<NodeId>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (t > a) in_tmp.push_back(t);
-        }
-      }
-      const auto nbrs = topo.neighbors(a);
-      std::size_t i = 0;
-      while (i < nbrs.size() && nbrs[i] <= a) ++i;
-      std::size_t j = 0;
-      while (i < nbrs.size() || j < in_tmp.size()) {
-        NodeId b;
-        if (j >= in_tmp.size() || (i < nbrs.size() && nbrs[i] <= in_tmp[j])) {
-          b = nbrs[i];
-          if (j < in_tmp.size() && in_tmp[j] == b) ++j;
-          ++i;
-        } else {
-          b = in_tmp[j++];
-        }
-        stored_pairs.emplace_back(a, b);
-      }
-    }
-  }
 
   // state_bits: one bad-state bit per walked undirected pair;
   // state_reals: the pair's drift (dB); state_keys: the pair's
-  // fade-stream key — its *global* link identity (link_key). Keying by
-  // global identity means an induced subtopology (a group round on its
-  // own channel) sees the same physical link in the same state as a
+  // fade-stream key — its *global* link identity (link_key) — then its
+  // local ids (a << 32 | index of b in topo.near(a)). Keying by global
+  // identity means an induced subtopology (a group round on its own
+  // channel) sees the same physical link in the same state as a
   // parent-level flood, and no two links ever share a stream; local pair
   // order preserves global order because induced() members are
   // ascending. tables.epoch is the previously materialized epoch
   // (kNoEpoch on a fresh walk), which tells us where the chain stands.
   //
-  // Dense tier: the walk covers only the pairs whose PRR can clear
-  // link_floor_prr in at least one direction at the strongest signal
-  // the walk can produce (rssi + drift_limit_db: a burst only
-  // subtracts). Every other pair is 0 in both directions in every
-  // state, and each pair draws from its own streams, so skipping it
-  // changes no table entry and no other pair's draws. The decision is
-  // made once per walk and evaluated kReachMarginDb above that bound
-  // instead of inverting the logistic, so it stays exact where exp
-  // rounding is not monotone. state_keys carries the walked pairs'
-  // local ids (a << 32 | b) after their keys.
+  // The walk covers, in ascending (a, b) order, only the near pairs
+  // whose PRR can clear link_floor_prr in at least one direction at the
+  // strongest signal the walk can produce (rssi + drift_limit_db: a
+  // burst only subtracts). Every other pair is 0 in both directions in
+  // every state — the constructor keeps that bound inside the near
+  // headroom, so no pair outside the near set qualifies — and each pair
+  // draws from its own streams, so skipping it changes no PRR and no
+  // other pair's draws. The decision is made once per walk and
+  // evaluated kReachMarginDb above that bound instead of inverting the
+  // logistic, so it stays exact where exp rounding is not monotone.
   const net::RadioParams& radio = topo.radio();
   std::uint64_t next_step = 1;
   if (tables.epoch == net::LinkEpochTables::kNoEpoch) {
     tables.state_keys.clear();
-    if (sparse) {
-      for (const auto& [a, b] : stored_pairs) {
-        tables.state_keys.push_back(link_key(topo, a, b));
-      }
-    } else {
-      std::vector<std::uint64_t> local;
-      const double reach_db = params_.drift_limit_db + kReachMarginDb;
-      for (NodeId a = 0; a < n; ++a) {
-        for (NodeId b = a + 1; b < n; ++b) {
-          const double power = topo.rssi(a, b) + reach_db;
-          if (radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b)) <
-                  radio.link_floor_prr &&
-              radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a)) <
-                  radio.link_floor_prr) {
-            continue;
-          }
-          tables.state_keys.push_back(link_key(topo, a, b));
-          local.push_back((static_cast<std::uint64_t>(a) << 32) | b);
+    std::vector<std::uint64_t> local;
+    const double reach_db = params_.drift_limit_db + kReachMarginDb;
+    for (NodeId a = 0; a < n; ++a) {
+      const auto partners = topo.near(a);
+      const auto rssi = topo.near_rssi(a);
+      for (std::size_t k = static_cast<std::size_t>(
+               std::upper_bound(partners.begin(), partners.end(), a) -
+               partners.begin());
+           k < partners.size(); ++k) {
+        const NodeId b = partners[k];
+        const double power = rssi[k] + reach_db;
+        if (radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b)) <
+                radio.link_floor_prr &&
+            radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a)) <
+                radio.link_floor_prr) {
+          continue;
         }
+        tables.state_keys.push_back(link_key(topo, a, b));
+        local.push_back((static_cast<std::uint64_t>(a) << 32) | k);
       }
-      tables.state_keys.insert(tables.state_keys.end(), local.begin(),
-                               local.end());
     }
-    const std::size_t walked =
-        sparse ? stored_pairs.size() : tables.state_keys.size() / 2;
+    const std::size_t walked = local.size();
+    tables.state_keys.insert(tables.state_keys.end(), local.begin(),
+                             local.end());
     tables.state_bits.assign((walked + 63) / 64, 0);
     tables.state_reals.assign(walked, 0.0);
     const double stationary_bad =
@@ -201,67 +163,31 @@ void LinkDynamics::materialize(const net::Topology& topo, std::uint64_t epoch,
     }
   }
 
-  // Materialize the effective link tables: drifted RSSI through the same
+  // Materialize the effective PRRs: drifted RSSI through the same
   // logistic curve + receiver penalty + floor rule the frozen tables
-  // used, so delta == 0 reproduces the static PRR exactly. Returns the
-  // PRR of walked pair p = (a, b) as {a -> b, b -> a}.
-  const auto effective_prr = [&](std::size_t p, NodeId a, NodeId b) {
+  // used, so delta == 0 reproduces the static PRR exactly. Only live
+  // directions (PRR > 0) enter the epoch's runs; taking the pairs in
+  // (a, b) order lists each receiver's transmitters ascending.
+  const std::uint64_t* local = tables.state_keys.data() + pairs;
+  std::vector<net::Link> live;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const auto a = static_cast<NodeId>(local[p] >> 32);
+    const std::size_t k = local[p] & 0xFFFFFFFFu;
+    const NodeId b = topo.near(a)[k];
     const bool bad = (tables.state_bits[p / 64] &
                       (std::uint64_t{1} << (p % 64))) != 0;
     const double delta = tables.state_reals[p] -
                          (bad ? params_.bad_extra_loss_db : 0.0);
-    const double power = topo.rssi(a, b) + delta;
+    const double rssi = topo.near_rssi(a)[k];
+    const double power = rssi + delta;
     double p_ab = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(b));
     double p_ba = radio.prr_from_rssi(power - topo.rx_noise_penalty_db(a));
     if (p_ab < radio.link_floor_prr) p_ab = 0.0;
     if (p_ba < radio.link_floor_prr) p_ba = 0.0;
-    return std::pair<double, double>{p_ab, p_ba};
-  };
-  if (sparse) {
-    // Sparse payloads aligned with the topology's stored-link orders. A
-    // direction that was not stored statically is dropped even if its
-    // drifted PRR would clear the floor (no resurrection); a stored
-    // direction whose drifted PRR sinks below the floor stays in the
-    // lists with p = 0.
-    tables.out_prr.assign(topo.num_links(), 0.0);
-    tables.in_prr.assign(topo.num_links(), 0.0);
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto [a, b] = stored_pairs[p];
-      const auto [p_ab, p_ba] = effective_prr(p, a, b);
-      const std::size_t iab = topo.link_index(a, b);
-      if (iab != net::Topology::kNoLink) {
-        tables.out_prr[iab] = p_ab;
-        tables.in_prr[topo.in_index(b, a)] = p_ab;
-      }
-      const std::size_t iba = topo.link_index(b, a);
-      if (iba != net::Topology::kNoLink) {
-        tables.out_prr[iba] = p_ba;
-        tables.in_prr[topo.in_index(a, b)] = p_ba;
-      }
-    }
-    return;
+    if (p_ab > 0.0) live.push_back({a, b, p_ab, rssi});
+    if (p_ba > 0.0) live.push_back({b, a, p_ba, rssi});
   }
-  // Dense tables: pairs the walk skips stay 0 with no audibility bit.
-  tables.prr.assign(n * n, 0.0);
-  tables.prr_in.assign(n * n, 0.0);
-  tables.rx_words.assign(n * topo.node_words(), 0);
-  const std::size_t words = topo.node_words();
-  const std::uint64_t* local = tables.state_keys.data() + pairs;
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const auto a = static_cast<NodeId>(local[p] >> 32);
-    const auto b = static_cast<NodeId>(local[p] & 0xFFFFFFFFu);
-    const auto [p_ab, p_ba] = effective_prr(p, a, b);
-    tables.prr[a * n + b] = p_ab;
-    tables.prr[b * n + a] = p_ba;
-    tables.prr_in[b * n + a] = p_ab;
-    tables.prr_in[a * n + b] = p_ba;
-    if (p_ab > 0.0) {
-      tables.rx_words[b * words + a / 64] |= std::uint64_t{1} << (a % 64);
-    }
-    if (p_ba > 0.0) {
-      tables.rx_words[a * words + b / 64] |= std::uint64_t{1} << (b % 64);
-    }
-  }
+  tables.runs.assign(n, live);
 }
 
 NodeChurn::NodeChurn(std::size_t node_count, NodeChurnParams params)

@@ -99,26 +99,6 @@ TEST(Scenarios, HierarchyScalingSmokeAtSmallScale) {
   }
 }
 
-// The sparse storage tier must be invisible in deterministic results:
-// the same sweep run over force_sparse topologies (sparse CSR storage,
-// sequential draws) serializes to byte-identical rows.
-TEST(Scenarios, HierarchyScalingIsByteIdenticalOnTheSparseTier) {
-  const Registry reg = make_registry();
-  ScenarioContext dense_ctx;
-  dense_ctx.reps = 1;
-  dense_ctx.params = {{"max_nodes", "256"}};
-  ScenarioContext sparse_ctx = dense_ctx;
-  sparse_ctx.params.emplace_back("force_sparse", "1");
-  const auto dense_rows = reg.find("hierarchy_scaling")->run(dense_ctx);
-  const auto sparse_rows = reg.find("hierarchy_scaling")->run(sparse_ctx);
-  ASSERT_EQ(dense_rows.size(), sparse_rows.size());
-  for (std::size_t i = 0; i < dense_rows.size(); ++i) {
-    EXPECT_EQ(dense_rows[i].json().dump_string(),
-              sparse_rows[i].json().dump_string())
-        << "row " << i;
-  }
-}
-
 TEST(Scenarios, DynamicsSweepDegradesMonotonicallyWithChurn) {
   const Registry reg = make_registry();
   ScenarioContext ctx;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "crypto/prng.hpp"
 #include "net/testbeds.hpp"
+#include "sim/dynamics.hpp"
 
 namespace mpciot::core {
 namespace {
@@ -170,6 +174,12 @@ TEST(AdversaryEngine, EquivocationSplitsHoldersAndKeepsTheSecret) {
   EXPECT_NE(equiv.share_for(1).value, honest.share_for(1).value);
 }
 
+/// PRR tx -> rx in materialized tables (0 when rx's runs omit tx).
+double prr_of(const net::LinkEpochTables& tables, NodeId tx, NodeId rx) {
+  const std::size_t slot = tables.runs.slot(rx, tx);
+  return slot == net::kNoSlot ? 0.0 : tables.runs.prr[slot];
+}
+
 TEST(JammerChannel, JamDeafensEveryoneInRangeDuringActiveEpochs) {
   const net::Topology topo = net::testbeds::flocklab();
   const NodeId jammer = 5;
@@ -185,22 +195,74 @@ TEST(JammerChannel, JamDeafensEveryoneInRangeDuringActiveEpochs) {
   never.materialize(topo, 0, clean);
 
   const std::size_t n = topo.size();
-  const std::size_t words = (n + 63) / 64;
   std::size_t deafened = 0;
   for (NodeId rx = 0; rx < n; ++rx) {
-    const bool audible =
-        rx != jammer &&
-        ((clean.rx_words[rx * words + jammer / 64] >> (jammer % 64)) & 1);
+    const bool audible = rx != jammer && prr_of(clean, jammer, rx) > 0.0;
     if (audible || rx == jammer) {
       ++deafened;
       for (NodeId tx = 0; tx < n; ++tx) {
-        EXPECT_EQ(tables.prr_in[rx * n + tx], 0.0f)
-            << "rx " << rx << " tx " << tx;
+        EXPECT_EQ(prr_of(tables, tx, rx), 0.0) << "rx " << rx << " tx " << tx;
       }
     }
   }
   EXPECT_GT(deafened, 1u);   // the jammer reaches someone
   EXPECT_LT(deafened, n);    // but not the whole testbed
+}
+
+TEST(JammerChannel, JamsKeyedTopologiesAboveTheExactThreshold) {
+  // A 48x48 grid draws keyed links. At an epoch where a jammer is
+  // active, it and every receiver in its static range hear nothing; every
+  // other receiver sees exactly the inner tables — the frozen snapshot
+  // or a bursty world.
+  const net::Topology topo = net::testbeds::grid(48, 48, 12.0, /*seed=*/5);
+  ASSERT_GT(topo.size(), net::Topology::kExactMaxNodes);
+  sim::dynamics::LinkDynamicsParams params;
+  params.seed = 17;
+  const sim::dynamics::LinkDynamics bursty(params);
+  const std::vector<NodeId> jammers{100, 1500};
+  for (const net::ChannelModel* inner :
+       {static_cast<const net::ChannelModel*>(nullptr),
+        static_cast<const net::ChannelModel*>(&bursty)}) {
+    const JammerChannel jam(inner, jammers, /*seed=*/9, /*duty=*/0.5);
+    std::uint64_t epoch = 0;
+    while (!jam.jam_active(jammers[0], epoch)) ++epoch;
+    net::LinkEpochTables jammed;
+    jam.materialize(topo, epoch, jammed);
+    net::LinkEpochTables clean;
+    if (inner != nullptr) {
+      inner->materialize(topo, epoch, clean);
+    } else {
+      clean.runs = topo.audibility();
+    }
+
+    std::vector<char> deaf(topo.size(), 0);
+    for (const NodeId j : jammers) {
+      if (!jam.jam_active(j, epoch)) continue;
+      deaf[j] = 1;
+      for (const NodeId r : topo.neighbors(j)) deaf[r] = 1;
+    }
+    std::size_t deafened = 0;
+    for (NodeId r = 0; r < topo.size(); ++r) {
+      deafened += deaf[r];
+      for (const net::AudWord& aw : clean.runs.row(r)) {
+        std::uint64_t bits = aw.bits;
+        for (std::uint32_t rank = 0; bits != 0; ++rank) {
+          const auto t = static_cast<NodeId>(aw.word * 64 +
+                                             std::countr_zero(bits));
+          bits &= bits - 1;
+          EXPECT_EQ(prr_of(jammed, t, r),
+                    deaf[r] ? 0.0 : clean.runs.prr[aw.slot + rank])
+              << "rx " << r << " tx " << t;
+        }
+      }
+      if (deaf[r]) {
+        for (const net::AudWord& aw : jammed.runs.row(r)) {
+          EXPECT_EQ(aw.bits, 0u) << "rx " << r;
+        }
+      }
+    }
+    EXPECT_GT(deafened, 2u);
+  }
 }
 
 TEST(JammerChannel, DutyCycleGatesJamEpochsDeterministically) {

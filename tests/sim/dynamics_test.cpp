@@ -70,8 +70,8 @@ void expect_same_tables(const net::ChannelView& got,
   }
 }
 
-/// FNV-1a over a dense view's receiver-major PRR rows and audibility
-/// bitmaps at its current epoch, folded into `h`.
+/// FNV-1a over a view's PRR a -> b for every pair at its current epoch,
+/// folded into `h`.
 std::uint64_t fold_tables(std::uint64_t h, const net::ChannelView& view,
                           const net::Topology& topo) {
   const auto mix = [&h](std::uint64_t v) {
@@ -80,12 +80,9 @@ std::uint64_t fold_tables(std::uint64_t h, const net::ChannelView& view,
       h *= 0x100000001B3ull;
     }
   };
-  for (NodeId r = 0; r < topo.size(); ++r) {
-    for (NodeId t = 0; t < topo.size(); ++t) {
-      mix(std::bit_cast<std::uint64_t>(view.prr_into(r)[t]));
-    }
-    for (std::size_t w = 0; w < topo.node_words(); ++w) {
-      mix(view.audible_words(r)[w]);
+  for (NodeId a = 0; a < topo.size(); ++a) {
+    for (NodeId b = 0; b < topo.size(); ++b) {
+      mix(std::bit_cast<std::uint64_t>(view.prr(a, b)));
     }
   }
   return h;
@@ -130,10 +127,15 @@ TEST(LinkDynamics, StaticViewAliasesTheTopologyTables) {
   EXPECT_FALSE(view.dynamic());
   view.seek(123456789);  // no-op without a model
   for (NodeId r = 0; r < topo.size(); ++r) {
-    EXPECT_EQ(view.prr_into(r), topo.prr_into(r));
-    EXPECT_EQ(view.audible_words(r), topo.audible_words(r));
+    EXPECT_EQ(view.audible_entries(r).data(), topo.audible_entries(r).data());
   }
-  EXPECT_EQ(view.prr(0, 1), topo.prr(0, 1));
+  EXPECT_EQ(view.in_prr(), topo.audibility().prr.data());
+  EXPECT_EQ(view.in_rssi(), topo.audibility().rssi.data());
+  for (NodeId a = 0; a < topo.size(); ++a) {
+    for (NodeId b = 0; b < topo.size(); ++b) {
+      EXPECT_EQ(view.prr(a, b), topo.prr(a, b)) << a << "->" << b;
+    }
+  }
   // Null model in the one-shot query: the frozen snapshot at any time.
   EXPECT_EQ(topo.prr_at(0, 1, 987654321), topo.prr(0, 1));
 }
@@ -185,15 +187,28 @@ TEST(LinkDynamics, BurstsActuallyDegradeLinksAndTablesStayConsistent) {
   for (std::uint64_t e = 0; e < 12; ++e) {
     view.seek(static_cast<SimTime>(e) * params.epoch_us);
     for (NodeId a = 0; a < topo.size(); ++a) {
-      const double* row = view.prr_into(a);
-      const std::uint64_t* audible = view.audible_words(a);
+      // The runs list exactly the transmitters a hears at this epoch,
+      // with the PRRs that point queries read.
+      std::vector<char> listed(topo.size(), 0);
+      for (const net::AudWord& aw : view.audible_entries(a)) {
+        std::uint64_t bits = aw.bits;
+        std::uint32_t rank = 0;
+        while (bits != 0) {
+          const NodeId t = aw.word * 64 +
+                           static_cast<NodeId>(std::countr_zero(bits));
+          bits &= bits - 1;
+          listed[t] = 1;
+          EXPECT_GT(view.in_prr()[aw.slot + rank], 0.0);
+          EXPECT_EQ(view.in_prr()[aw.slot + rank++], view.prr(t, a));
+        }
+      }
       for (NodeId t = 0; t < topo.size(); ++t) {
-        // Audibility bitmaps must mirror the materialized PRR exactly.
-        const bool bit = (audible[t / 64] >> (t % 64)) & 1;
-        EXPECT_EQ(bit, row[t] > 0.0) << a << "<-" << t << " @" << e;
+        if (view.prr(t, a) > 0.0) {
+          EXPECT_TRUE(listed[t]) << a << "<-" << t << " @" << e;
+        }
         if (a == t) continue;
         if (topo.prr(t, a) > 0.0) {
-          (row[t] == 0.0 ? saw_dead_link : saw_live_link) = true;
+          (view.prr(t, a) == 0.0 ? saw_dead_link : saw_live_link) = true;
         }
       }
     }
@@ -303,11 +318,12 @@ TEST(LinkDynamics, RebindingSameWorldContinuesTheWalk) {
 }
 
 TEST(LinkDynamics, SkippingUnreachablePairsIsExact) {
-  // The dense walk steps only the pairs whose PRR can reach the floor
-  // at rssi + drift_limit_db. The digests below were generated by the
-  // full-triangle walk; drift is pinned at its limit in the first
-  // parameter set (a 20 dB sigma against a 4 dB bound), and has no
-  // headroom at all in the second, so a cull one step too aggressive
+  // The walk steps only the near pairs whose PRR can reach the floor at
+  // rssi + drift_limit_db. The digests below fold every pair's PRR; they
+  // were generated on the dense n x n tables this walk replaced, which
+  // matched the full-triangle walk. Drift is pinned at its limit in the
+  // first parameter set (a 20 dB sigma against a 4 dB bound), and has
+  // no headroom at all in the second, so a cull one step too aggressive
   // changes a digest. FlockLab and DCube carry receiver-noise
   // penalties (directional links); the grid is the hierarchical
   // campaigns' 8x8 / 12 m class.
@@ -326,9 +342,9 @@ TEST(LinkDynamics, SkippingUnreachablePairsIsExact) {
   no_headroom.drift_limit_db = 0.0;
   const std::vector<LinkDynamicsParams> param_sets = {pinned, no_headroom};
   const std::uint64_t expected[3][2] = {
-      {0x644E389CCE298003ull, 0x0E02651D2B990769ull},
-      {0x60885B9A6717729Dull, 0x5EFB00E7A9261676ull},
-      {0x5250BB45868D1FC2ull, 0x955160E1A0E8F911ull},
+      {0x308BCC8D99DB26B4ull, 0xE87D9F950B2DA7FBull},
+      {0xDC9436F9DE25F79Dull, 0x1B1AEFF818744002ull},
+      {0x43AB400D731F7B09ull, 0x73DFFBC64A94B775ull},
   };
 
   for (std::size_t t = 0; t < topos.size(); ++t) {
@@ -338,12 +354,21 @@ TEST(LinkDynamics, SkippingUnreachablePairsIsExact) {
       net::ChannelView view;
       view.bind(topo, &model);
       std::uint64_t h = 0xCBF29CE484222325ull;
+      bool lifted = false;  // a pair with static PRR 0 became audible
       for (const std::uint64_t e : {0u, 1u, 17u, 300u}) {
         view.seek(static_cast<SimTime>(e) * param_sets[k].epoch_us);
         h = fold_tables(h, view, topo);
+        for (NodeId a = 0; a < topo.size(); ++a) {
+          for (NodeId b = 0; b < topo.size(); ++b) {
+            if (topo.prr(a, b) == 0.0 && view.prr(a, b) > 0.0) lifted = true;
+          }
+        }
       }
       EXPECT_EQ(h, expected[t][k]) << "topology " << t << " params " << k
                                    << std::hex << " got 0x" << h;
+      // Drift pinned at +4 dB lifts some near pair over the floor; with
+      // no headroom nothing can.
+      EXPECT_EQ(lifted, k == 0) << "topology " << t << " params " << k;
 
       // And the walk does skip pairs: fewer than the full triangle.
       net::LinkEpochTables tables;
@@ -353,6 +378,16 @@ TEST(LinkDynamics, SkippingUnreachablePairsIsExact) {
       EXPECT_LT(tables.state_reals.size(), n * (n - 1) / 2);
     }
   }
+}
+
+TEST(LinkDynamics, RejectsDriftBeyondTheNearHeadroom) {
+  // The topology keeps RSSI only for pairs within kNearHeadroomDb of the
+  // floor, so a walk that could lift links further would miss pairs.
+  LinkDynamicsParams params;
+  params.drift_limit_db = net::Topology::kNearHeadroomDb;
+  EXPECT_THROW(LinkDynamics{params}, ContractViolation);
+  params.drift_limit_db = net::Topology::kNearHeadroomDb - 1.0;
+  EXPECT_NO_THROW(LinkDynamics{params});
 }
 
 TEST(LinkDynamics, InducedSubtopologySeesTheSamePhysicalLinks) {
