@@ -6,11 +6,13 @@
 
 #include "core/protocol.hpp"
 #include "core/shamir.hpp"
+#include "core/wire.hpp"
 #include "crypto/aes_ctr.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/cmac.hpp"
 #include "crypto/feldman.hpp"
 #include "crypto/prng.hpp"
+#include "ct/chain_schedule.hpp"
 #include "ct/minicast.hpp"
 #include "field/fp61_batch.hpp"
 #include "field/lagrange.hpp"
@@ -297,5 +299,34 @@ static void BM_MiniCastRoundFlocklab(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MiniCastRoundFlocklab);
+
+// Naive S3's sharing chain on the DCube-like testbed: 45 sources x 45
+// holders = 2025 entries at NTX 24 (what core::suggest_s3_ntx returns
+// there), run on a warm RoundContext the way a Session's steady-state
+// rounds are. Most sub-slots of a chain slot repeat a transmitter set,
+// so this row tracks the per-slot arbitration memo.
+static void BM_MiniCastS3ChainDcube(benchmark::State& state) {
+  const net::Topology topo = net::testbeds::dcube();
+  std::vector<NodeId> sources(topo.size());
+  for (NodeId i = 0; i < topo.size(); ++i) sources[i] = i;
+  const ct::SharingSchedule sharing =
+      ct::make_sharing_schedule(sources, sources);
+  ct::MiniCastConfig cfg;
+  cfg.initiator = topo.center_node();
+  cfg.ntx = 24;
+  cfg.payload_bytes = core::SharePacket::kWireSize;
+  cfg.max_chain_slots = 512;
+  cfg.scheduled_owners = sources;
+  ct::RoundContext scratch;
+  ct::MiniCastResult result;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    crypto::Xoshiro256 rng(++seed);
+    ct::run_minicast_into(topo, sharing.entries, cfg, rng, scratch, result);
+    benchmark::DoNotOptimize(result.rx_slot.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MiniCastS3ChainDcube);
 
 BENCHMARK_MAIN();

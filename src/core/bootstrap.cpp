@@ -107,15 +107,16 @@ NtxCalibration calibrate_ntx(const net::Topology& topo,
   // channel draws, so the calibration is (near-)monotone in NTX instead
   // of jittering with independent channel luck.
   const std::uint64_t crn_base = rng.next_u64();
+  // One warm context and result serve every trial.
   ct::RoundContext scratch;
+  ct::MiniCastResult res;
+  ct::MiniCastConfig cfg = base_config;
   for (std::uint32_t ntx = 1; ntx <= max_ntx; ++ntx) {
+    cfg.ntx = ntx;
     bool all_ok = true;
     for (std::uint32_t t = 0; t < trials && all_ok; ++t) {
-      ct::MiniCastConfig cfg = base_config;
-      cfg.ntx = ntx;
       crypto::Xoshiro256 trial_rng(crn_base + t);
-      const ct::MiniCastResult res =
-          substrate.chain_round(topo, entries, cfg, trial_rng, &scratch);
+      substrate.chain_round_into(topo, entries, cfg, trial_rng, &scratch, res);
       if (res.done_ratio() < required_done_ratio) all_ok = false;
     }
     if (all_ok) return NtxCalibration{ntx, true};

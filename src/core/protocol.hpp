@@ -289,9 +289,12 @@ ProtocolConfig make_s4_config(const net::Topology& topo,
 /// The paper's degree heuristic: k = max(1, floor(n/3)).
 std::size_t paper_degree(std::size_t source_count);
 
-/// Calibrate the full-coverage NTX for S3 on this topology/source set
-/// (smallest NTX for which every holder assembles every share in
-/// `trials` consecutive trials).
+/// Calibrate the full-coverage NTX for S3 on this topology/source set:
+/// the smallest NTX in [1, max_ntx] at which every node ends the sharing
+/// round holding the whole chain, in each of `trials` trials. When no
+/// NTX qualifies it returns `max_ntx` all the same, which the caller
+/// cannot tell from `max_ntx` being the first NTX to qualify; call
+/// calibrate_ntx for its `satisfied` flag.
 std::uint32_t suggest_s3_ntx(const net::Topology& topo,
                              const std::vector<NodeId>& sources,
                              std::uint32_t trials, crypto::Xoshiro256& rng,

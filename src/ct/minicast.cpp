@@ -100,6 +100,36 @@ MiniCastResult run_minicast(const net::Topology& topo,
   return result;
 }
 
+namespace {
+
+/// Per-slot room of the arbitration memo (RoundContext::memo): distinct
+/// transmitter sets, and listener probabilities across them. Naive S3's
+/// 2025-entry DCube chain peaks at about 1300 sets and 15k probabilities
+/// in one slot; the caps bound the probabilities a huge chain reserves
+/// to about 1.6 MB.
+constexpr std::size_t kMemoSets = 4096;
+constexpr std::size_t kMemoCells = std::size_t{1} << 17;
+
+/// Bucket of a transmitter set in a table of 2^(64 - shift) buckets
+/// (Fibonacci hashing over its node-words).
+std::size_t set_bucket(const std::uint64_t* set, std::size_t words, int shift) {
+  std::uint64_t h = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    h = (std::rotl(h, 29) ^ set[w]) * 0x9E3779B97F4A7C15ull;
+  }
+  return static_cast<std::size_t>(h >> shift);
+}
+
+bool same_set(const std::uint64_t* a, const std::uint64_t* b,
+              std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (a[w] != b[w]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 CTAGG_POPCNT_CLONES
 void run_minicast_into(const net::Topology& topo,
                        const std::vector<ChainEntry>& entries,
@@ -179,6 +209,23 @@ void run_minicast_into(const net::Topology& topo,
     }
   }
 
+  // Arbitration memo: per slot it keeps up to min(entries, kMemoSets)
+  // transmitter sets and min(entries * n, kMemoCells) listener
+  // probabilities, plus room for one uncached row, all reserved here so a
+  // warm context never allocates in the loop. The table has twice as
+  // many buckets as sets kept; its tags are slot numbers, so each round
+  // starts it cleared.
+  ArbitrationMemo& memo = scratch.memo;
+  const std::size_t memo_sets = std::min(num_entries, kMemoSets);
+  const std::size_t memo_cells = std::min(num_entries * n, kMemoCells);
+  memo.table.assign(std::bit_ceil(2 * memo_sets), ArbitrationMemo::Bucket{});
+  const int table_shift = 64 - std::countr_zero(memo.table.size());
+  const std::size_t table_mask = memo.table.size() - 1;
+  memo.sets.reserve(memo_sets * nwords);
+  memo.row_cells.reserve(memo_sets + 1);
+  memo.rx.reserve(memo_cells + n);
+  memo.prob.reserve(memo_cells + n);
+
   // Dynamics seams: the view aliases the frozen tables when no channel
   // model is set, and the churn mask is only maintained when a liveness
   // schedule is present — a static round takes neither branch nor extra
@@ -198,7 +245,7 @@ void run_minicast_into(const net::Topology& topo,
   }
 
   const double inv_corr = 1.0 / radio.ct_loss_correlation;
-  // At the default correlation of 1.0 the exponent is exactly 1.0, and
+  // At a correlation of 1.0 the exponent is exactly 1.0, and
   // IEEE-754 guarantees pow(x, 1.0) == x bit-for-bit — so the arbitration
   // loop can skip the libm call entirely without changing a single
   // delivered packet. Any other correlation keeps the pow.
@@ -285,50 +332,97 @@ void run_minicast_into(const net::Topology& topo,
     // packed transmitter set: a receiver fails only if every audible
     // copy fails, with the correlation knob degrading towards the
     // single-best case (same arithmetic, same RNG draws).
+    //
+    // Within one chain slot the listeners, the link view and its
+    // audibility runs are fixed (the view seeks and churn is evaluated
+    // only at slot start; transmitters never receive), so a listener's
+    // success probability depends only on (listener, transmitter set).
+    // The memo therefore computes it once per distinct set per slot, and
+    // every entry with that set draws from the row, entry-major and
+    // listener-ascending: the same draws, in the same order, as
+    // computing each entry's probabilities afresh.
+    const std::uint32_t tag = slot + 1;
+    memo.sets.clear();
+    memo.row_cells.assign(1, 0);
+    memo.rx.clear();
+    memo.prob.clear();
+    const double* in_prr = view.in_prr();
+    std::uint64_t* senders = scratch.entry_senders.data();
     for (std::size_t e = 0; e < num_entries; ++e) {
-      std::fill(scratch.entry_senders.begin(), scratch.entry_senders.end(),
-                0);
-      std::size_t sender_count = 0;
+      std::fill(senders, senders + nwords, 0);
+      bool any_sender = false;
       for (NodeId i : scratch.tx_nodes) {
         if (bit_test(have_row(i), e)) {
-          bit_set(scratch.entry_senders.data(), i);
-          ++sender_count;
+          bit_set(senders, i);
+          any_sender = true;
         }
       }
-      if (sender_count == 0) continue;
-      const double* in_prr = view.in_prr();
-      for (NodeId r : scratch.listeners) {
-        std::size_t heard = 0;
-        double fail_product = 1.0;
-        double single_prr = 0.0;
-        // Only the receiver's audible in-links exist, as word runs over
-        // ascending transmitter ids: the fail_product multiply chain —
-        // doubles, order-sensitive — always runs in that order.
-        for (const net::AudWord& aw : view.audible_entries(r)) {
-          std::uint64_t m = aw.bits & scratch.entry_senders[aw.word];
-          while (m != 0) {
-            const std::uint64_t low = m & (~m + 1);
-            m &= m - 1;
-            const double p =
-                in_prr[aw.slot + static_cast<std::size_t>(
-                                     std::popcount(aw.bits & (low - 1)))];
-            ++heard;
-            fail_product *= (1.0 - p);
-            single_prr = p;
+      if (!any_sender) continue;
+
+      // The set's bucket, or the empty one where it belongs.
+      std::size_t b = set_bucket(senders, nwords, table_shift);
+      for (; memo.table[b].tag == tag; b = (b + 1) & table_mask) {
+        const std::size_t row = memo.table[b].row;
+        if (same_set(senders, &memo.sets[row * nwords], nwords)) break;
+      }
+      ArbitrationMemo::Bucket& bucket = memo.table[b];
+      const bool fresh = bucket.tag != tag;
+      if (fresh) {
+        // First entry with this set in the slot: append its row.
+        for (NodeId r : scratch.listeners) {
+          std::size_t heard = 0;
+          double fail_product = 1.0;
+          double single_prr = 0.0;
+          // Only the receiver's audible in-links exist, as word runs over
+          // ascending transmitter ids: the fail_product multiply chain —
+          // doubles, order-sensitive — always runs in that order.
+          for (const net::AudWord& aw : view.audible_entries(r)) {
+            std::uint64_t m = aw.bits & senders[aw.word];
+            while (m != 0) {
+              const std::uint64_t low = m & (~m + 1);
+              m &= m - 1;
+              const double p =
+                  in_prr[aw.slot + static_cast<std::size_t>(
+                                       std::popcount(aw.bits & (low - 1)))];
+              ++heard;
+              fail_product *= (1.0 - p);
+              single_prr = p;
+            }
           }
+          if (heard == 0) continue;  // no draw
+          const double success_prob =
+              heard == 1     ? single_prr
+              : corr_is_one ? 1.0 - fail_product
+                             : 1.0 - std::pow(fail_product, inv_corr);
+          memo.rx.push_back(r);
+          memo.prob.push_back(success_prob);
         }
-        if (heard == 0) continue;
-        const double success_prob =
-            heard == 1     ? single_prr
-            : corr_is_one ? 1.0 - fail_product
-                           : 1.0 - std::pow(fail_product, inv_corr);
-        if (rng.next_bool(success_prob)) {
+      }
+      const std::size_t begin =
+          fresh ? memo.row_cells.back() : memo.row_cells[bucket.row];
+      const std::size_t end =
+          fresh ? memo.rx.size() : memo.row_cells[bucket.row + 1];
+      for (std::size_t c = begin; c < end; ++c) {
+        if (rng.next_bool(memo.prob[c])) {
+          const NodeId r = memo.rx[c];
           scratch.received_any[r] = 1;
           if (!bit_test(have_row(r), e)) {
             bit_set(have_row(r), e);
             result.rx_slot[r][e] = static_cast<std::int32_t>(slot);
           }
         }
+      }
+      if (!fresh) continue;
+      const std::size_t rows = memo.row_cells.size() - 1;
+      if (rows < memo_sets && end <= memo_cells) {
+        bucket.tag = tag;
+        bucket.row = static_cast<std::uint32_t>(rows);
+        memo.sets.insert(memo.sets.end(), senders, senders + nwords);
+        memo.row_cells.push_back(end);
+      } else {
+        // Memo full: the row served this entry alone.
+        memo.rx.resize(begin);
+        memo.prob.resize(begin);
       }
     }
 

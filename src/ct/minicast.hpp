@@ -186,6 +186,27 @@ struct MiniCastResult {
   double done_ratio() const;
 };
 
+/// Per-slot arbitration memo of the chain engine: one row per distinct
+/// transmitter set seen in the current chain slot, holding the listeners
+/// that hear the set (ascending) and each one's success probability.
+/// Rows are found through an open-addressed table whose buckets are
+/// tagged with the slot that wrote them, so starting a slot clears
+/// nothing. Its room per slot is bounded (see minicast.cpp); a set met
+/// once it is full is computed for that entry alone.
+struct ArbitrationMemo {
+  struct Bucket {
+    std::uint32_t tag = 0;  // chain slot + 1 that wrote it; else empty
+    std::uint32_t row = 0;
+  };
+  std::vector<Bucket> table;        // power-of-two size
+  std::vector<std::uint64_t> sets;  // rows x node-words sender sets
+  // Row r's cells are [row_cells[r], row_cells[r + 1]); a slot starts
+  // from {0}.
+  std::vector<std::size_t> row_cells;
+  std::vector<NodeId> rx;    // cells: listener that hears the set
+  std::vector<double> prob;  // cells: its success probability
+};
+
 /// Reusable scratch for the chain engine. One context serves any number
 /// of sequential rounds over any topologies; buffers grow to the largest
 /// round seen and are reused thereafter. With a channel model, its view
@@ -204,6 +225,7 @@ struct RoundContext {
   std::vector<char> scheduled;
   std::vector<std::uint32_t> silent_slots;
   std::vector<std::uint32_t> timeout_budget;
+  ArbitrationMemo memo;
   net::ChannelView view;   // epoch-cached link tables (static: aliases)
   std::vector<char> down;  // per-slot churn mask (liveness rounds only)
   // Warm buffers for run_glossy_into: the one-entry chain and the chain

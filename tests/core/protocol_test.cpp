@@ -405,6 +405,21 @@ TEST(SuggestS3Ntx, ReturnsWorkableValueOnGrid) {
   EXPECT_EQ(session_round(s3, fixed_secrets(9), sim).success_ratio(), 1.0);
 }
 
+TEST(SuggestS3Ntx, ReturnsTheCapWhenNoNtxQualifies) {
+  // Node 0's receiver is deaf: it still transmits (so the topology is
+  // connected from it) but never hears anyone, so it can never hold the
+  // whole sharing chain and no NTX passes. The cap comes back anyway.
+  const net::Topology grid = make_grid9();
+  std::vector<net::Position> pos;
+  for (NodeId i = 0; i < grid.size(); ++i) pos.push_back(grid.position(i));
+  std::vector<double> rx_penalty(grid.size(), 0.0);
+  rx_penalty[0] = 100.0;
+  const net::Topology topo(std::move(pos), grid.radio(), 7,
+                           std::move(rx_penalty));
+  crypto::Xoshiro256 rng(41);
+  EXPECT_EQ(suggest_s3_ntx(topo, all_nodes(topo), 2, rng, 5), 5u);
+}
+
 /// S4 on the dense grid with room for cheater exclusion: degree 2,
 /// holders = degree+1+slack.
 ProtocolConfig adversary_s4_config(const net::Topology& topo,
