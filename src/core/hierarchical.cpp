@@ -19,6 +19,16 @@ constexpr std::uint64_t kStreamJamFlood = 0x41445648ull;   // flood jammers
 constexpr std::uint64_t kStreamNestedKeys = 0x4E4B4559ull; // subtree keys
 constexpr std::uint64_t kStreamNested = 0x4E455354ull;     // subtree sims
 
+/// The fixed knobs of every level (see HierarchicalConfig): NTX of the
+/// recombination and result floods, holders beyond degree+1 per group
+/// round, S4's early radio-off in group rounds, extra attempts of a
+/// failed batch round or flood, and the chain/flood slot cap.
+constexpr std::uint32_t kFloodNtx = 4;
+constexpr std::size_t kHolderSlack = 2;
+constexpr bool kEarlyRadioOff = true;
+constexpr std::uint32_t kMaxRetries = 2;
+constexpr std::uint32_t kMaxChainSlots = 512;
+
 /// Churn schedule of an induced subtopology: local ids looked up in the
 /// parent schedule. (Group rounds run on the trial clock, so times pass
 /// through unchanged.)
@@ -56,6 +66,42 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
     begin += size;
   }
   return ranges;
+}
+
+/// The attackers among `members` (parent ids), as local ids.
+std::vector<NodeId> local_attackers(const std::vector<NodeId>& attackers,
+                                    const std::vector<NodeId>& members) {
+  std::vector<NodeId> local;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (std::find(attackers.begin(), attackers.end(), members[i]) !=
+        attackers.end()) {
+      local.push_back(static_cast<NodeId>(i));
+    }
+  }
+  return local;
+}
+
+/// Hand `leader` to the eligible node nearest to `target` by good-link
+/// hops, ties to the lower id, and count a change in `reelections`.
+/// No-op when no node is eligible.
+template <typename Eligible>
+void hand_off_to_nearest(const net::Topology& topo, NodeId target,
+                         Eligible&& eligible, NodeId& leader,
+                         std::uint32_t& reelections) {
+  NodeId best = kInvalidNode;
+  std::uint32_t best_h = net::Topology::kInvalidHops;
+  for (NodeId m = 0; m < topo.size(); ++m) {
+    if (!eligible(m)) continue;
+    const std::uint32_t h = topo.hops(m, target);
+    if (h < best_h || (h == best_h && m < best)) {
+      best_h = h;
+      best = m;
+    }
+  }
+  if (best != kInvalidNode && best != leader) {
+    leader = best;
+    ++reelections;
+  }
 }
 
 }  // namespace
@@ -130,37 +176,17 @@ HierarchicalProtocol::HierarchicalProtocol(const net::Topology& topo,
     // mapping. Its result flood plays the role the batch rounds play in
     // a leaf group — it leaves the group aggregate with the members
     // that heard it, and the parent recombines as usual.
+    std::vector<NodeId> attackers =
+        local_attackers(config_.adversary.attackers, group.members);
     if (config_.depth > 1 &&
         group.members.size() >= config_.min_nested_size) {
-      HierarchicalConfig ncfg;
+      HierarchicalConfig ncfg = config_;
       ncfg.partition = net::partition::grid_blocks(*group.sub,
                                                    config_.fanout);
-      ncfg.num_channels = config_.num_channels;
-      ncfg.max_batch = config_.max_batch;
-      ncfg.ntx_sharing = config_.ntx_sharing;
-      ncfg.ntx_reconstruction = config_.ntx_reconstruction;
-      ncfg.scale_ntx_with_diameter = config_.scale_ntx_with_diameter;
-      ncfg.result_flood_ntx = config_.result_flood_ntx;
-      ncfg.holder_slack = config_.holder_slack;
-      ncfg.early_radio_off = config_.early_radio_off;
-      ncfg.max_retries = config_.max_retries;
-      ncfg.max_chain_slots = config_.max_chain_slots;
       ncfg.key_seed =
           crypto::derive_seed(config_.key_seed, kStreamNestedKeys, g);
-      ncfg.feldman_vss = config_.feldman_vss;
       ncfg.depth = config_.depth - 1;
-      ncfg.fanout = config_.fanout;
-      ncfg.min_nested_size = config_.min_nested_size;
-      ncfg.adversary = config_.adversary;
-      ncfg.adversary.attackers.clear();
-      for (std::size_t i = 0; i < group.members.size(); ++i) {
-        if (std::find(config_.adversary.attackers.begin(),
-                      config_.adversary.attackers.end(),
-                      group.members[i]) !=
-            config_.adversary.attackers.end()) {
-          ncfg.adversary.attackers.push_back(static_cast<NodeId>(i));
-        }
-      }
+      ncfg.adversary.attackers = std::move(attackers);
       group.nested = std::make_unique<HierarchicalProtocol>(
           *group.sub, std::move(ncfg), transport_);
       groups_.push_back(std::move(group));
@@ -185,33 +211,22 @@ HierarchicalProtocol::HierarchicalProtocol(const net::Topology& topo,
       }
       cfg.degree = paper_degree(cfg.sources.size());
       const std::size_t holders = std::min(
-          cfg.degree + 1 + config_.holder_slack, group.members.size());
+          cfg.degree + 1 + kHolderSlack, group.members.size());
       cfg.share_holders =
           elect_share_holders(*group.sub, cfg.sources, holders);
-      std::uint32_t depth_ntx = 0;
-      if (config_.scale_ntx_with_diameter) {
-        depth_ntx = group.sub->diameter() / 2 + 2;
-      }
+      const std::uint32_t depth_ntx = group.sub->diameter() / 2 + 2;
       cfg.ntx_sharing = std::max(config_.ntx_sharing, depth_ntx);
       cfg.ntx_reconstruction =
           std::max(config_.ntx_reconstruction, depth_ntx);
       cfg.round = static_cast<std::uint32_t>(b);
       cfg.initiator = group.leader_local;
-      cfg.early_radio_off = config_.early_radio_off;
-      cfg.max_chain_slots = config_.max_chain_slots;
-      // Attackers among this group's members, mapped to local ids; the
-      // group round then tampers/verifies/jams exactly like the flat
-      // protocol on its subtopology.
+      cfg.early_radio_off = kEarlyRadioOff;
+      cfg.max_chain_slots = kMaxChainSlots;
+      // The group's attackers as local ids: the group round then
+      // tampers/verifies/jams exactly like the flat protocol on its
+      // subtopology.
       cfg.adversary = config_.adversary;
-      cfg.adversary.attackers.clear();
-      for (std::size_t i = 0; i < group.members.size(); ++i) {
-        if (std::find(config_.adversary.attackers.begin(),
-                      config_.adversary.attackers.end(),
-                      group.members[i]) !=
-            config_.adversary.attackers.end()) {
-          cfg.adversary.attackers.push_back(static_cast<NodeId>(i));
-        }
-      }
+      cfg.adversary.attackers = attackers;
       cfg.feldman_vss = config_.feldman_vss;
       group.batch_rounds.emplace_back(*group.sub, *group.keys,
                                       std::move(cfg), transport_);
@@ -416,7 +431,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
       }
       bool sub_ok = false;
       for (std::uint32_t attempt = 0;
-           attempt <= config_.max_retries && !sub_ok; ++attempt) {
+           attempt <= kMaxRetries && !sub_ok; ++attempt) {
         if (attempt > 0) ++out.retries;
         const SimTime t0 = ch_start_abs + out.duration_us;
         sim::Simulator nested_sim(
@@ -456,22 +471,10 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
           deputies[local] = nres.has_result[local];
         }
         if (nres.has_result[lead_local] == 0) {
-          NodeId best = kInvalidNode;
-          std::uint32_t best_h = net::Topology::kInvalidHops;
-          const NodeId center = group.sub->center_node();
-          for (NodeId m = 0;
-               m < static_cast<NodeId>(group.members.size()); ++m) {
-            if (nres.has_result[m] == 0) continue;
-            const std::uint32_t h = group.sub->hops(m, center);
-            if (h < best_h || (h == best_h && m < best)) {
-              best_h = h;
-              best = m;
-            }
-          }
-          if (best != kInvalidNode && best != lead_local) {
-            lead_local = best;
-            ++out.leader_reelections;
-          }
+          hand_off_to_nearest(
+              *group.sub, group.sub->center_node(),
+              [&](NodeId m) { return nres.has_result[m] != 0; }, lead_local,
+              out.leader_reelections);
         }
       }
       if (!sub_ok) {
@@ -492,29 +495,19 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
       // deployment re-runs the round, so we do too (bounded).
       bool leader_ok = false;
       for (std::uint32_t attempt = 0;
-           attempt <= config_.max_retries && !leader_ok; ++attempt) {
+           attempt <= kMaxRetries && !leader_ok; ++attempt) {
         if (attempt > 0) ++out.retries;
         const SimTime t0 = ch_start_abs + out.duration_us;
         // A leader that is churn-down when the round would start cannot
         // run it: hand off to the most central member that is up.
         if (env.liveness != nullptr &&
             env.liveness->is_down(group.members[lead_local], t0)) {
-          NodeId best = kInvalidNode;
-          std::uint32_t best_h = net::Topology::kInvalidHops;
-          const NodeId center = group.sub->center_node();
-          for (NodeId m = 0;
-               m < static_cast<NodeId>(group.members.size()); ++m) {
-            if (env.liveness->is_down(group.members[m], t0)) continue;
-            const std::uint32_t h = group.sub->hops(m, center);
-            if (h < best_h || (h == best_h && m < best)) {
-              best_h = h;
-              best = m;
-            }
-          }
-          if (best != kInvalidNode && best != lead_local) {
-            lead_local = best;
-            ++out.leader_reelections;
-          }
+          hand_off_to_nearest(
+              *group.sub, group.sub->center_node(),
+              [&](NodeId m) {
+                return !env.liveness->is_down(group.members[m], t0);
+              },
+              lead_local, out.leader_reelections);
         }
         // Re-elected leaders run the same round config from their own
         // position; the SssProtocol is rebuilt only on a hand-off.
@@ -661,20 +654,12 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     if (env.liveness == nullptr || !env.liveness->is_down(p.leader, t)) {
       return;
     }
-    NodeId best = kInvalidNode;
-    std::uint32_t best_h = net::Topology::kInvalidHops;
-    for (NodeId i = 0; i < n; ++i) {
-      if (p.holders[i] == 0 || env.liveness->is_down(i, t)) continue;
-      const std::uint32_t h = topo_->hops(i, topo_->center_node());
-      if (h < best_h || (h == best_h && i < best)) {
-        best_h = h;
-        best = i;
-      }
-    }
-    if (best != kInvalidNode && best != p.leader) {
-      p.leader = best;
-      ++result.leader_reelections;
-    }
+    hand_off_to_nearest(
+        *topo_, topo_->center_node(),
+        [&](NodeId i) {
+          return p.holders[i] != 0 && !env.liveness->is_down(i, t);
+        },
+        p.leader, result.leader_reelections);
   };
 
   while (active.size() > 1) {
@@ -687,15 +672,15 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
       Partial& sender = a_survives ? b : a;
 
       ct::GlossyConfig fcfg;
-      fcfg.ntx = config_.result_flood_ntx;
+      fcfg.ntx = kFloodNtx;
       fcfg.payload_bytes = SumPacket::kWireSize;
-      fcfg.max_slots = config_.max_chain_slots;
+      fcfg.max_slots = kMaxChainSlots;
       fcfg.channel_model = flood_channel;
       fcfg.liveness = env.liveness;
       bool delivered = false;
       ct::GlossyResult& flood = ws.flood;
       for (std::uint32_t attempt = 0;
-           attempt <= config_.max_retries && !delivered; ++attempt) {
+           attempt <= kMaxRetries && !delivered; ++attempt) {
         // Recombination floods share one channel after the group phase;
         // each starts where the previous one ended on the trial clock.
         const SimTime t0 = flood_base_abs + result.recombine_us;
@@ -754,9 +739,9 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   if (root != kInvalidNode) {
     ct::GlossyConfig fcfg;
     fcfg.initiator = root;
-    fcfg.ntx = config_.result_flood_ntx;
+    fcfg.ntx = kFloodNtx;
     fcfg.payload_bytes = SumPacket::kWireSize;
-    fcfg.max_slots = config_.max_chain_slots;
+    fcfg.max_slots = kMaxChainSlots;
     fcfg.start_time_us = flood_base_abs + result.recombine_us;
     fcfg.channel_model = flood_channel;
     fcfg.liveness = env.liveness;

@@ -47,28 +47,21 @@ struct HierarchicalConfig {
   /// Sources per SSS round (the SumPacket contributor-bitmap width caps
   /// this at 64). Larger groups run ceil(size / max_batch) rounds.
   std::size_t max_batch = 64;
+  /// Base NTX of the group rounds. A group whose subtopology is deeper
+  /// than the base NTX covers runs at diameter/2 + 2 instead (the paper
+  /// calibrates NTX per deployment; this is the cheap static stand-in —
+  /// without it, wide groups leave too few holders with complete sums to
+  /// reconstruct).
+  ///
+  /// Fixed at every level: group rounds run S4 (early radio-off,
+  /// degree + 3 holders capped at the group size), the recombination and
+  /// result floods run at NTX 4, chains and floods stop at 512 slots,
+  /// and a failed batch round or recombination flood gets two more
+  /// attempts with fresh channel randomness. Retries are charged to the
+  /// group's channel time and everyone's radio-on — failure handling is
+  /// paid for, not assumed away.
   std::uint32_t ntx_sharing = 6;
   std::uint32_t ntx_reconstruction = 6;
-  /// Raise a group's NTX to diameter/2 + 2 when its subtopology is
-  /// deeper than the base NTX covers (the paper calibrates NTX per
-  /// deployment; this is the cheap static stand-in — without it, wide
-  /// groups leave too few holders with complete sums to reconstruct).
-  bool scale_ntx_with_diameter = true;
-  /// NTX of the final result flood (full topology, typically deeper than
-  /// a group, so it gets its own knob).
-  std::uint32_t result_flood_ntx = 4;
-  /// Extra share holders beyond degree+1 per group round.
-  std::size_t holder_slack = 2;
-  /// S4's early radio shutdown inside group rounds.
-  bool early_radio_off = true;
-  /// A group leader that cannot reconstruct (fewer than degree+1
-  /// consistent sums arrived) re-runs the failed batch round with fresh
-  /// channel randomness, up to this many extra attempts; likewise a
-  /// recombination flood whose target missed it. Retries are charged to
-  /// the group's channel time and everyone's radio-on — failure handling
-  /// is paid for, not assumed away.
-  std::uint32_t max_retries = 2;
-  std::uint32_t max_chain_slots = 512;
   /// Seeds the per-group keystores (pairwise keys are a deployment
   /// artifact, not per-trial randomness).
   std::uint64_t key_seed = 0x6B657973ull;

@@ -1,7 +1,6 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "common/assert.hpp"
@@ -363,11 +362,7 @@ const AggregationResult& SssProtocol::run_round(
                                ws.share_round);
   const ct::MiniCastResult& share_round = ws.share_round;
 
-  // ---- Stage 1b: holders decrypt and sum what they got ----
-  // (Parallel arrays replacing the old per-round HolderSum vector.)
-  ws.holder_sum.assign(num_holders, field::Fp61{});
-  ws.holder_contrib.assign(num_holders, 0);
-  ws.holder_valid.assign(num_holders, 0);
+  // ---- Stage 1b: holders decrypt, check and sum what they got ----
   // Share matrix, dealt row by row: each dealing source evaluates its
   // polynomial at every holder point in one batched Horner pass instead
   // of num_holders independent share_for calls inside the (h, s) loop.
@@ -387,15 +382,33 @@ const AggregationResult& SssProtocol::run_round(
   const auto matrix_share = [&](std::size_t s, std::size_t h) {
     return ws.share_matrix[s * num_holders + h];
   };
+  // The round's shared roles: one accumulator per share holder and one
+  // aggregator. Hierarchical groups of different shapes share a
+  // workspace, so they are rebuilt when the spec changes.
+  if (!ws.aggregator.has_value() ||
+      ws.aggregator->spec().degree != spec_.degree ||
+      ws.aggregator->spec().sources != spec_.sources ||
+      ws.aggregator->spec().holders != spec_.holders) {
+    ws.aggregator.emplace(spec_);
+    ws.holders.clear();
+    for (const NodeId h : config_.share_holders) {
+      ws.holders.emplace_back(spec_, h);
+    }
+  }
+  // With VSS on, every holder checks wire shares against the dealers'
+  // commitments (a source that did not deal has an empty context).
+  std::span<const crypto::feldman::VerifyContext> commitments;
+  if (config_.feldman_vss) commitments = ws.verify_ctx;
   std::size_t delivered = 0;
   std::size_t deliverable = 0;
   std::uint64_t cheater_sources_mask = 0;
   std::uint32_t shares_rejected = 0;
 
   for (std::size_t h = 0; h < num_holders; ++h) {
+    roles::HolderRole& role = ws.holders[h];
+    role.reset(wire_round, commitments);
     const NodeId holder = config_.share_holders[h];
     if (dead[holder]) continue;
-    ws.holder_valid[h] = 1;
     for (std::size_t s = 0; s < num_sources; ++s) {
       const NodeId src = config_.sources[s];
       if (!participates(src)) continue;
@@ -403,8 +416,7 @@ const AggregationResult& SssProtocol::run_round(
       const std::size_t entry = sharing.entry_index(s, h);
       if (src == holder) {
         // Own share never travels on air (and is trivially consistent).
-        ws.holder_sum[h] += matrix_share(s, h);
-        ws.holder_contrib[h] |= (std::uint64_t{1} << s);
+        role.accept_local(src, matrix_share(s, h));
         ++delivered;
         continue;
       }
@@ -422,40 +434,41 @@ const AggregationResult& SssProtocol::run_round(
           on_air = ws.equiv_dealers[s]->share_for(holder).value;
         }
       }
-      // Decode the actual wire bytes the source would have sent.
+      // The actual wire bytes the source would have sent. The holder
+      // decrypts and authenticates them, and with VSS on drops a share
+      // off its commitment and convicts the dealer. That conviction is
+      // the only reject the round-trip may produce.
       SharePacket pkt;
       pkt.source = src;
       pkt.destination = holder;
       pkt.round = wire_round;
       pkt.share = on_air;
       pkt.encode_into(keys, ws.wire);
-      const std::optional<SharePacket> decoded =
-          SharePacket::decode(ws.wire, keys);
-      MPCIOT_ENSURE(decoded.has_value(),
-                    "protocol: AES/CMAC round-trip must succeed");
-      // Share-accept verification (VSS on): drop anything off the
-      // committed polynomial and remember the cheater.
-      if (config_.feldman_vss && ws.commitments[s].has_value() &&
-          !ws.verify_ctx[s].verify(public_point(holder), decoded->share)) {
+      if (!role.accept_wire(ws.wire, keys)) {
+        MPCIOT_ENSURE((role.cheater_mask() >> s) & 1,
+                      "protocol: AES/CMAC round-trip must succeed");
         ++shares_rejected;
-        cheater_sources_mask |= (std::uint64_t{1} << s);
-        continue;
       }
-      ws.holder_sum[h] += decoded->share;
-      ws.holder_contrib[h] |= (std::uint64_t{1} << s);
     }
+    cheater_sources_mask |= role.cheater_mask();
   }
 
-  // kPollutedSums: attacker-held collectors fold a nonzero offset into
-  // the point-sum they broadcast (contributor bitmap left honest).
-  if (engine_.active() && engine_.kind() == AttackKind::kPollutedSums) {
-    for (std::size_t h = 0; h < num_holders; ++h) {
-      const NodeId holder = config_.share_holders[h];
-      if (!ws.holder_valid[h] || !engine_.is_attacker(holder)) continue;
-      ws.holder_sum[h] +=
-          engine_.sum_pollution(sim.seed(), wire_round, holder);
+  // The SumPacket holder h broadcasts: its role's point-sum. An
+  // attacker-held collector under kPollutedSums folds a nonzero offset
+  // into it (contributor bitmap left honest). A holder whose role
+  // summed nothing broadcasts nothing.
+  const bool polluting =
+      engine_.active() && engine_.kind() == AttackKind::kPollutedSums;
+  const auto broadcast_sum = [&](std::size_t h) {
+    SumPacket pkt = ws.holders[h].sum_packet();
+    if (polluting && engine_.is_attacker(pkt.holder)) {
+      pkt.sum += engine_.sum_pollution(sim.seed(), wire_round, pkt.holder);
     }
-  }
+    return pkt;
+  };
+  const auto broadcasts = [&](std::size_t h) {
+    return ws.holders[h].contributor_mask() != 0;
+  };
 
   // Point-sum verdicts (observer-independent): with VSS on, a holder's
   // broadcast sum either matches the product of its contributors'
@@ -465,19 +478,19 @@ const AggregationResult& SssProtocol::run_round(
   ws.sum_bad.assign(num_holders, 0);
   if (config_.feldman_vss) {
     for (std::size_t h = 0; h < num_holders; ++h) {
-      if (!ws.holder_valid[h] || ws.holder_contrib[h] == 0) continue;
+      if (!broadcasts(h)) continue;
+      const SumPacket pkt = broadcast_sum(h);
       std::vector<const crypto::feldman::Commitment*> parts;
       for (std::size_t s = 0; s < num_sources; ++s) {
-        if ((ws.holder_contrib[h] >> s) & 1) {
+        if ((pkt.contributors >> s) & 1) {
           parts.push_back(&*ws.commitments[s]);
         }
       }
       const crypto::feldman::Commitment product =
           crypto::feldman::combine(parts);
       ws.sum_bad[h] =
-          crypto::feldman::verify_share(
-              product, public_point(config_.share_holders[h]),
-              ws.holder_sum[h])
+          crypto::feldman::verify_share(product, public_point(pkt.holder),
+                                        pkt.sum)
               ? 0
               : 1;
     }
@@ -485,27 +498,6 @@ const AggregationResult& SssProtocol::run_round(
 
   // ---- Stage 2: reconstruction phase ----
   const ct::ReconstructionSchedule& recon = recon_;
-
-  // The SumPacket holder h broadcasts.
-  const auto holder_sum_packet = [&](std::size_t h) {
-    SumPacket pkt;
-    pkt.holder = config_.share_holders[h];
-    pkt.contribution_count =
-        static_cast<std::uint8_t>(std::popcount(ws.holder_contrib[h]));
-    pkt.round = wire_round;
-    pkt.sum = ws.holder_sum[h];
-    pkt.contributors = ws.holder_contrib[h];
-    return pkt;
-  };
-  // One warm aggregator serves the completion oracle below and every
-  // node's stage-3 reconstruction. Hierarchical groups of different
-  // shapes share a workspace, so it is rebuilt when the spec changes.
-  if (!ws.aggregator.has_value() ||
-      ws.aggregator->spec().degree != spec_.degree ||
-      ws.aggregator->spec().sources != spec_.sources ||
-      ws.aggregator->spec().holders != spec_.holders) {
-    ws.aggregator.emplace(spec_);
-  }
   roles::AggregatorRole& aggregator = *ws.aggregator;
 
   // A holder with no live sum cannot inject its entry: model by marking
@@ -518,15 +510,13 @@ const AggregationResult& SssProtocol::run_round(
   // not count toward the k+1 threshold and the radio stays on longer.
   aggregator.reset(wire_round);
   for (std::size_t h = 0; h < num_holders; ++h) {
-    if (ws.holder_valid[h] && !ws.sum_bad[h]) {
-      aggregator.accept(holder_sum_packet(h));
-    }
+    if (broadcasts(h) && !ws.sum_bad[h]) aggregator.accept(broadcast_sum(h));
   }
   const std::optional<std::uint64_t> best_mask = aggregator.best_mask();
   ws.usable_mask.assign((num_holders + 63) / 64, 0);
   for (std::size_t h = 0; h < num_holders; ++h) {
-    if (ws.holder_valid[h] && !ws.sum_bad[h] && best_mask.has_value() &&
-        ws.holder_contrib[h] == *best_mask) {
+    if (!ws.sum_bad[h] && best_mask.has_value() &&
+        ws.holders[h].contributor_mask() == *best_mask) {
       ct::bit_set(ws.usable_mask.data(), h);
     }
   }
@@ -577,7 +567,8 @@ const AggregationResult& SssProtocol::run_round(
           : static_cast<double>(delivered) / static_cast<double>(deliverable);
   result.complete_holders = 0;
   for (std::size_t h = 0; h < num_holders; ++h) {
-    if (ws.holder_valid[h] && ws.holder_contrib[h] == live_source_mask) {
+    if (!dead[config_.share_holders[h]] &&
+        ws.holders[h].contributor_mask() == live_source_mask) {
       ++result.complete_holders;
     }
   }
@@ -615,11 +606,11 @@ const AggregationResult& SssProtocol::run_round(
     // to the shared reconstruction rule.
     aggregator.reset(wire_round);
     for (std::size_t h = 0; h < num_holders; ++h) {
-      if (!ws.holder_valid[h]) continue;
+      if (!broadcasts(h)) continue;
       const bool own = (config_.share_holders[h] == node);
       if (!own && !recon_round.node_has(node, h)) continue;
       // Decode the wire bytes the holder would have broadcast.
-      holder_sum_packet(h).encode_into(ws.wire);
+      broadcast_sum(h).encode_into(ws.wire);
       const std::optional<SumPacket> decoded = SumPacket::decode(ws.wire);
       MPCIOT_ENSURE(decoded.has_value(), "protocol: SumPacket round-trip");
       if (config_.feldman_vss && ws.sum_bad[h] &&

@@ -203,18 +203,17 @@ struct RoundWorkspace {
   std::vector<std::uint32_t> holder_pos;   // node id -> holder index
   std::vector<std::uint64_t> holder_need;  // flat per-holder entry masks
   std::size_t holder_need_words = 0;
-  std::vector<field::Fp61> holder_sum;       // stage 1b accumulators
   std::vector<field::Fp61> holder_xs;    // holders' public points
   std::vector<field::Fp61> share_matrix; // [s * num_holders + h] = P_s(x_h)
-  std::vector<std::uint64_t> holder_contrib;
-  std::vector<char> holder_valid;
   std::vector<char> sum_bad;
   std::vector<std::uint64_t> usable_mask;
   std::size_t recon_threshold = 0;
   Bytes wire;  // packet encode/decode round-trip buffer
-  /// Stage 2's completion oracle and every node's stage-3
-  /// reconstruction, re-armed per use; rebuilt only when the workspace
+  /// Stage 1b's accumulators, one per share holder, and the aggregator
+  /// behind stage 2's completion oracle and every node's stage-3
+  /// reconstruction. Re-armed per use; rebuilt only when the workspace
   /// moves to a protocol with another spec.
+  std::vector<roles::HolderRole> holders;
   std::optional<roles::AggregatorRole> aggregator;
   ct::GlossyConfig sync_cfg;
   ct::MiniCastConfig share_cfg;

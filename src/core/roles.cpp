@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 
@@ -13,6 +12,13 @@ namespace {
 std::uint64_t mask_for(std::size_t source_count) {
   return source_count == 64 ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << source_count) - 1;
+}
+
+/// Sorts its own copy: cheap enough for the hierarchical engine, which
+/// rebuilds a group's roles every group round.
+bool has_duplicate(std::vector<NodeId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) != ids.end();
 }
 
 }  // namespace
@@ -28,13 +34,8 @@ void validate(const RoundSpec& spec) {
   MPCIOT_REQUIRE(spec.degree + 1 <= spec.holders.size(),
                  "RoundSpec: fewer holders than the reconstruction "
                  "threshold");
-  std::unordered_set<NodeId> uniq(spec.sources.begin(), spec.sources.end());
-  MPCIOT_REQUIRE(uniq.size() == spec.sources.size(),
-                 "RoundSpec: duplicate source");
-  uniq.clear();
-  uniq.insert(spec.holders.begin(), spec.holders.end());
-  MPCIOT_REQUIRE(uniq.size() == spec.holders.size(),
-                 "RoundSpec: duplicate holder");
+  MPCIOT_REQUIRE(!has_duplicate(spec.sources), "RoundSpec: duplicate source");
+  MPCIOT_REQUIRE(!has_duplicate(spec.holders), "RoundSpec: duplicate holder");
 }
 
 std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
@@ -71,19 +72,39 @@ field::Fp61 SourceRole::self_share() const {
 }
 
 HolderRole::HolderRole(const RoundSpec& spec, NodeId self)
-    : spec_(spec), self_(self), sum_(field::Fp61{0}) {
+    : spec_(spec),
+      self_(self),
+      point_(public_point(self)),
+      sum_(field::Fp61{0}) {
   validate(spec_);
   MPCIOT_REQUIRE(index_of(spec_.holders, self).has_value(),
                  "HolderRole: node is not a holder of this round");
 }
 
-bool HolderRole::accept_local(NodeId source, field::Fp61 value) {
+void HolderRole::reset(
+    std::uint16_t round,
+    std::span<const crypto::feldman::VerifyContext> commitments) {
+  MPCIOT_REQUIRE(commitments.empty() ||
+                     commitments.size() == spec_.sources.size(),
+                 "HolderRole: one commitment per source, or none");
+  spec_.round = round;
+  commitments_ = commitments;
+  sum_ = field::Fp61{0};
+  mask_ = 0;
+  cheaters_ = 0;
+}
+
+std::optional<std::size_t> HolderRole::open_slot(NodeId source) const {
   const auto idx = index_of(spec_.sources, source);
+  if (!idx || ((mask_ >> *idx) & 1)) return std::nullopt;
+  return idx;
+}
+
+bool HolderRole::accept_local(NodeId source, field::Fp61 value) {
+  const auto idx = open_slot(source);
   if (!idx) return false;
-  const std::uint64_t bit = std::uint64_t{1} << *idx;
-  if (mask_ & bit) return false;
-  mask_ |= bit;
-  sum_ = sum_ + value;
+  mask_ |= std::uint64_t{1} << *idx;
+  sum_ += value;
   return true;
 }
 
@@ -92,7 +113,19 @@ bool HolderRole::accept_wire(const Bytes& wire, const crypto::KeyStore& keys) {
   if (!pkt) return false;
   if (pkt->destination != self_) return false;
   if (pkt->round != spec_.round) return false;
-  return accept_local(pkt->source, pkt->share);
+  const auto idx = open_slot(pkt->source);
+  if (!idx) return false;
+  const std::uint64_t bit = std::uint64_t{1} << *idx;
+  // Feldman VSS: a share off its dealer's committed polynomial is
+  // dropped and convicts the dealer.
+  if (!commitments_.empty() && !commitments_[*idx].empty() &&
+      !commitments_[*idx].verify(point_, pkt->share)) {
+    cheaters_ |= bit;
+    return false;
+  }
+  mask_ |= bit;
+  sum_ += pkt->share;
+  return true;
 }
 
 bool HolderRole::complete() const {

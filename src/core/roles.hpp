@@ -6,17 +6,20 @@
 // The three roles compose into the paper's round:
 //   * SourceRole      — deal a Shamir polynomial over the secret and
 //                       emit one AES-protected SharePacket per holder;
-//   * HolderRole      — authenticate + accumulate incoming shares into
-//                       a point-sum, emit one SumPacket;
+//   * HolderRole      — authenticate, check and accumulate incoming
+//                       shares into a point-sum, emit one SumPacket;
 //   * AggregatorRole  — collect point-sums, pick the best consistent
 //                       contributor mask, Lagrange-reconstruct the
 //                       aggregate at x = 0.
 //
-// AggregatorRole is the only mask-selection and reconstruction code in
-// the library: SssProtocol's completion oracle and per-node
-// reconstruction, the unicast baseline and the rt coordinator all run
-// it, so the simulator and the socket runtime share one rule by
-// construction.
+// HolderRole is the only accumulation code in the library and carries
+// the Feldman share check: SssProtocol's stage 1b, the unicast baseline
+// and the rt node all sum shares through it, and every broadcast
+// SumPacket comes from HolderRole::sum_packet(). AggregatorRole is the
+// only mask-selection and reconstruction code: SssProtocol's completion
+// oracle and per-node reconstruction, the unicast baseline and the rt
+// coordinator all run it. The simulator and the socket runtime share
+// both rules by construction.
 //
 // Reconstruction over any degree+1 sums with identical contributor
 // masks yields the same field element (exact arithmetic over points of
@@ -27,11 +30,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/shamir.hpp"
 #include "core/wire.hpp"
+#include "crypto/feldman.hpp"
 #include "crypto/keystore.hpp"
 #include "crypto/prng.hpp"
 #include "field/fp61.hpp"
@@ -88,23 +93,39 @@ class SourceRole {
 /// point-sum at this node's public point.
 class HolderRole {
  public:
-  /// Precondition: `self` is one of spec.holders.
+  /// Precondition: `self` is one of spec.holders. Checks no commitment
+  /// until reset() hands it some.
   HolderRole(const RoundSpec& spec, NodeId self);
 
-  /// Accept this node's own share without a wire round-trip (when the
-  /// node is both source and holder). Returns false if `source` is not
-  /// in the spec or already contributed.
+  /// Re-arm for another round of the same spec: forget the point-sum,
+  /// its contributors and the convicted dealers, and expect `round` on
+  /// the wire. `commitments` holds the dealers' Feldman verify contexts,
+  /// indexed like spec.sources; an empty span, or an empty context,
+  /// checks nothing. The contexts must outlive the round. A warm holder
+  /// re-arms without touching the heap.
+  void reset(std::uint16_t round,
+             std::span<const crypto::feldman::VerifyContext> commitments = {});
+
+  /// Accept a share that did not arrive as wire bytes: this node's own
+  /// share, or a delivery the caller models without packets. Never
+  /// checked against a commitment. Returns false if `source` is not in
+  /// the spec or already contributed.
   bool accept_local(NodeId source, field::Fp61 value);
 
   /// Decode + authenticate + validate one SharePacket addressed to this
   /// node. Returns false on any reject: wrong size, failed tag, wrong
-  /// destination or round, unknown source, or a duplicate.
+  /// destination or round, unknown source, a duplicate, or a share off
+  /// its dealer's commitment. The last puts the dealer into
+  /// cheater_mask().
   bool accept_wire(const Bytes& wire, const crypto::KeyStore& keys);
 
   /// Every spec source has contributed.
   bool complete() const;
   std::uint32_t contributions() const;
   std::uint64_t contributor_mask() const { return mask_; }
+  /// Bit i set iff sources[i] dealt this node a share off its
+  /// commitment this round.
+  std::uint64_t cheater_mask() const { return cheaters_; }
 
   /// The current (partial or complete) point-sum. Precondition: at
   /// least one contribution.
@@ -113,10 +134,16 @@ class HolderRole {
   const RoundSpec& spec() const { return spec_; }
 
  private:
+  /// Source index of `source` if it has not contributed yet.
+  std::optional<std::size_t> open_slot(NodeId source) const;
+
   RoundSpec spec_;
   NodeId self_;
+  field::Fp61 point_;  // public_point(self_)
+  std::span<const crypto::feldman::VerifyContext> commitments_;
   field::Fp61 sum_;
   std::uint64_t mask_ = 0;
+  std::uint64_t cheaters_ = 0;
 };
 
 /// What a reconstruction produced.

@@ -1,7 +1,6 @@
 #include "core/unicast_baseline.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "common/assert.hpp"
@@ -90,8 +89,10 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
   sim.events().schedule_in(result.total_duration_us, [] {});
   sim.events().step();
 
-  // Holder sums from delivered shares (own shares never travel on air).
-  // Each dealer evaluates at all holder points in one batched pass; the
+  // Holder sums from delivered shares, through the shared accumulation
+  // rule. Own shares never travel on air, and the unicast model carries
+  // no ciphertext, so every share enters through accept_local. Each
+  // dealer evaluates at all holder points in one batched pass; the
   // (h, s) loop then only reads the matrix.
   std::vector<field::Fp61> holder_xs(num_holders);
   for (std::size_t h = 0; h < num_holders; ++h) {
@@ -103,24 +104,26 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
         holder_xs, std::span<field::Fp61>{share_matrix}.subspan(
                        s * num_holders, num_holders));
   }
-  std::vector<field::Fp61> holder_sum(num_holders);
-  std::vector<std::uint64_t> holder_mask(num_holders, 0);
+  const auto wire_round = static_cast<std::uint16_t>(config.round & 0xFFFFu);
+  const roles::RoundSpec spec{config.sources, config.share_holders, k,
+                              wire_round};
+  std::vector<roles::HolderRole> holders;
+  holders.reserve(num_holders);
   std::size_t delivered = 0;
   std::size_t total_messages = 0;
   for (std::size_t h = 0; h < num_holders; ++h) {
+    roles::HolderRole& holder =
+        holders.emplace_back(spec, config.share_holders[h]);
     for (std::size_t s = 0; s < num_sources; ++s) {
-      if (config.sources[s] == config.share_holders[h]) {
-        holder_sum[h] += share_matrix[s * num_holders + h];
-        holder_mask[h] |= (std::uint64_t{1} << s);
-        continue;
-      }
-      ++total_messages;
-      if (share_round.node_has(config.share_holders[h],
-                               sharing.entry_index(s, h))) {
+      if (config.sources[s] != config.share_holders[h]) {
+        ++total_messages;
+        if (!share_round.node_has(config.share_holders[h],
+                                  sharing.entry_index(s, h))) {
+          continue;
+        }
         ++delivered;
-        holder_sum[h] += share_matrix[s * num_holders + h];
-        holder_mask[h] |= (std::uint64_t{1} << s);
       }
+      holder.accept_local(config.sources[s], share_matrix[s * num_holders + h]);
     }
   }
 
@@ -144,23 +147,16 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
         params.idle_duty_cycle * static_cast<double>(result.total_duration_us));
   }
 
-  // Per-node reconstruction through the CT path's rule.
-  const auto wire_round = static_cast<std::uint16_t>(config.round & 0xFFFFu);
-  roles::AggregatorRole aggregator(
-      roles::RoundSpec{config.sources, config.share_holders, k, wire_round});
+  // Per-node reconstruction through the CT path's rule. A holder that
+  // summed nothing has no point-sum to deliver.
+  roles::AggregatorRole aggregator(spec);
   for (NodeId node = 0; node < n; ++node) {
     aggregator.reset(wire_round);
     for (std::size_t h = 0; h < num_holders; ++h) {
+      if (holders[h].contributor_mask() == 0) continue;
       const bool own = (config.share_holders[h] == node);
       if (!own && !recon_round.node_has(node, h)) continue;
-      SumPacket pkt;
-      pkt.holder = config.share_holders[h];
-      pkt.contribution_count =
-          static_cast<std::uint8_t>(std::popcount(holder_mask[h]));
-      pkt.round = wire_round;
-      pkt.sum = holder_sum[h];
-      pkt.contributors = holder_mask[h];
-      aggregator.accept(pkt);
+      aggregator.accept(holders[h].sum_packet());
     }
     NodeOutcome& out = result.nodes[node];
     out.radio_on_us = result.radio_on_us[node];

@@ -1,7 +1,7 @@
 // Wire formats for the two SSS phases, with the real cryptography the
 // paper specifies: sharing-phase packets are AES-128 protected (CTR
 // encryption + truncated CMAC tag under the pairwise key), reconstruction
-// packets travel in plaintext with a group-key tag.
+// packets travel in plaintext and carry no tag.
 //
 // Sizes drive the simulator's airtime, so the structs encode/decode to
 // exact byte layouts (node ids are u16 on the wire — the hierarchical

@@ -33,8 +33,8 @@ class KeyStore {
   /// Per-node key for data only that node may read (e.g. DRBG seeding).
   Aes128::Key node_key(NodeId node) const;
 
-  /// Network-wide group key (used for integrity tags on plaintext
-  /// reconstruction-phase packets).
+  /// Network-wide group key. No packet uses it yet: reconstruction-
+  /// phase SumPackets travel untagged.
   Aes128::Key group_key() const;
 
  private:

@@ -82,7 +82,13 @@ bool Connection::flush() {
     out_.clear();
     offset_ = 0;
   }
+  if (close_when_flushed_ && !wants_write()) ::shutdown(fd_, SHUT_WR);
   return true;
+}
+
+void Connection::close_when_flushed() {
+  close_when_flushed_ = true;
+  flush();
 }
 
 bool Connection::read_some() {
@@ -91,7 +97,10 @@ bool Connection::read_some() {
   for (;;) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
-      decoder_.feed(buf, static_cast<std::size_t>(n));
+      // A closing connection drops its input instead of dispatching it.
+      if (!close_when_flushed_) {
+        decoder_.feed(buf, static_cast<std::size_t>(n));
+      }
       if (static_cast<std::size_t>(n) < sizeof(buf)) return true;
       continue;
     }
@@ -197,9 +206,9 @@ void EventLoop::reap(std::uint64_t conn) {
         return c->id() == conn;
       });
   if (it == conns_.end()) return;
-  const bool was_dead = (*it)->dead();
+  const bool asked = (*it)->closing();
   conns_.erase(it);  // unregister first: handler sees it gone
-  if (was_dead && on_close_) on_close_(conn);
+  if (!asked && on_close_) on_close_(conn);
 }
 
 void EventLoop::run() {
@@ -257,7 +266,7 @@ void EventLoop::run() {
       } else if (fds[i].revents & POLLIN) {
         c->read_some();
       }
-      while (!stopped_) {
+      while (!stopped_ && !c->closing()) {
         std::optional<Frame> f = c->decoder().next();
         if (!f.has_value()) break;
         if (on_frame_) on_frame_(ids[i], std::move(*f));
@@ -268,10 +277,11 @@ void EventLoop::run() {
       if (c != nullptr && (fds[i].revents & POLLOUT)) c->flush();
     }
 
-    // 4. Reap dead / drained-for-close connections.
+    // 4. Reap dead connections (a lingering close dies at the peer's
+    //    EOF).
     std::vector<std::uint64_t> to_reap;
     for (const auto& c : conns_) {
-      if (c->should_close()) to_reap.push_back(c->id());
+      if (c->dead()) to_reap.push_back(c->id());
     }
     for (const std::uint64_t id : to_reap) reap(id);
   }

@@ -8,6 +8,9 @@
 //     of growing without bound;
 //   * per-frame dispatch: complete frames (rt::FrameDecoder) are handed
 //     to the frame handler one at a time, in arrival order;
+//   * lingering closes: a connection we close sends everything queued,
+//     then its FIN, and is torn down only at the peer's EOF, so a peer
+//     still writing never meets a reset that would eat our last frame;
 //   * deterministic one-shot timers on the monotonic clock, fired in
 //     (deadline, insertion) order — the coordinator's phase timeouts.
 //
@@ -61,11 +64,12 @@ class Connection {
   bool dead() const { return dead_; }
   void mark_dead() { dead_ = true; }
 
-  /// Close once the send queue drains (used for Refuse / Shutdown).
-  void close_when_flushed() { close_when_flushed_ = true; }
-  bool should_close() const {
-    return dead_ || (close_when_flushed_ && !wants_write());
-  }
+  /// Close once the send queue drains (used for Refuse / Shutdown). The
+  /// close lingers: the drained queue is followed by shutdown(SHUT_WR),
+  /// and input is read and dropped until the peer's EOF, so a peer still
+  /// sending reads everything we queued instead of a reset.
+  void close_when_flushed();
+  bool closing() const { return close_when_flushed_; }
 
   FrameDecoder& decoder() { return decoder_; }
 
@@ -108,13 +112,16 @@ class EventLoop {
   /// Fired once per connection on EOF, fatal error, framing corruption,
   /// or queue overrun — after the connection is unregistered, so
   /// send_frame(conn) inside the handler is a no-op returning false.
+  /// Not fired for a connection closed through close_after_flush.
   void set_on_close(ConnHandler h) { on_close_ = std::move(h); }
 
   /// Queue a frame on `conn`. Returns false if the connection is gone
   /// or its queue overran (the close handler will fire next tick).
   bool send_frame(std::uint64_t conn, FrameType type, const Bytes& payload);
 
-  /// Close `conn` once its pending output drains.
+  /// Close `conn` once its pending output drains and the peer closes
+  /// its side (see Connection::close_when_flushed). Its frames are no
+  /// longer dispatched.
   void close_after_flush(std::uint64_t conn);
 
   /// One-shot timer `delay_ms` from now; returns a cancel token.

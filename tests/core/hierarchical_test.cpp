@@ -232,7 +232,6 @@ TEST(Hierarchical, RetryExhaustionGivesUpTheRound) {
 
   core::HierarchicalConfig cfg;
   cfg.partition = net::partition::grid_blocks(topo, 4);
-  cfg.max_retries = 2;
   const net::partition::Partition part = cfg.partition;
   const HierarchicalProtocol proto(topo, std::move(cfg));
 
@@ -247,7 +246,7 @@ TEST(Hierarchical, RetryExhaustionGivesUpTheRound) {
   const GroupOutcome& doomed = res.groups[1];
   EXPECT_FALSE(doomed.has_sum);
   EXPECT_FALSE(doomed.sum_correct);
-  // Every batch exhausted its retries: retries == batches * max_retries.
+  // Every batch exhausted its two retries: retries == batches * 2.
   EXPECT_EQ(doomed.retries, doomed.batches * 2u);
   // The round still produces an aggregate from the surviving groups —
   // it matches their dealt secrets (expected_sum only accumulates from

@@ -15,6 +15,8 @@
 #include "common/assert.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
+#include "core/shamir.hpp"
+#include "crypto/feldman.hpp"
 #include "crypto/prng.hpp"
 #include "net/testbeds.hpp"
 #include "sim/simulator.hpp"
@@ -169,6 +171,115 @@ TEST(Roles, HolderRejectsForeignWrongRoundAndDuplicateShares) {
   ASSERT_TRUE(src_other.encode_share_for(1, keys, wire));
   EXPECT_FALSE(h1b.accept_wire(wire, keys));  // round mismatch
   EXPECT_EQ(h1b.contributions(), 0u);
+}
+
+/// The SharePacket `src` would send `dst` in `round`, carrying `value`.
+Bytes share_wire(NodeId src, NodeId dst, std::uint16_t round, Fp61 value,
+                 const crypto::KeyStore& keys) {
+  SharePacket pkt;
+  pkt.source = src;
+  pkt.destination = dst;
+  pkt.round = round;
+  pkt.share = value;
+  return pkt.encode(keys);
+}
+
+TEST(Roles, HolderConvictsADealerWhoseShareIsOffItsCommitment) {
+  const RoundSpec spec = make_spec(4, 1, 3);
+  const crypto::KeyStore keys(7, 4);
+  std::vector<ShamirDealer> dealers;
+  std::vector<crypto::feldman::VerifyContext> contexts;
+  for (std::size_t s = 0; s < 4; ++s) {
+    crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 9, s), 0);
+    dealers.emplace_back(Fp61{100 + s}, spec.degree, drbg);
+    contexts.emplace_back(crypto::feldman::commit(dealers[s].polynomial()));
+  }
+  const auto honest = [&](NodeId src, NodeId dst) {
+    return dealers[src].share_for(dst).value;
+  };
+  const auto wire = [&](NodeId src, NodeId dst, Fp61 value) {
+    return share_wire(src, dst, spec.round, value, keys);
+  };
+
+  HolderRole h1(spec, 1);
+  HolderRole h2(spec, 2);
+  h1.reset(spec.round, contexts);
+  h2.reset(spec.round, contexts);
+  // Source 0 deals holder 1 a share off its commitment: rejected, and
+  // the dealer is convicted.
+  EXPECT_FALSE(h1.accept_wire(wire(0, 1, honest(0, 1) + Fp61{1}), keys));
+  EXPECT_EQ(h1.cheater_mask(), 0b0001u);
+  EXPECT_EQ(h1.contributor_mask(), 0u);
+  // Its honest share at another holder is accepted.
+  EXPECT_TRUE(h2.accept_wire(wire(0, 2, honest(0, 2)), keys));
+  EXPECT_EQ(h2.cheater_mask(), 0u);
+  // Other dealers' honest shares still count at holder 1, and a share
+  // taken through accept_local is never checked.
+  EXPECT_TRUE(h1.accept_wire(wire(3, 1, honest(3, 1)), keys));
+  EXPECT_TRUE(h1.accept_local(1, honest(1, 1) + Fp61{5}));
+  EXPECT_EQ(h1.contributor_mask(), 0b1010u);
+  EXPECT_EQ(h1.cheater_mask(), 0b0001u);
+  EXPECT_EQ(h1.sum_packet().sum, honest(3, 1) + honest(1, 1) + Fp61{5});
+  // A re-armed holder forgets the conviction.
+  h1.reset(spec.round, contexts);
+  EXPECT_EQ(h1.cheater_mask(), 0u);
+  EXPECT_TRUE(h1.accept_wire(wire(0, 1, honest(0, 1)), keys));
+
+  // An empty context checks nothing; the other dealers stay checked.
+  std::vector<crypto::feldman::VerifyContext> partial = contexts;
+  partial[2] = crypto::feldman::VerifyContext{};
+  HolderRole h3(spec, 3);
+  h3.reset(spec.round, partial);
+  EXPECT_TRUE(h3.accept_wire(wire(2, 3, honest(2, 3) + Fp61{1}), keys));
+  EXPECT_FALSE(h3.accept_wire(wire(0, 3, honest(0, 3) + Fp61{1}), keys));
+  EXPECT_EQ(h3.cheater_mask(), 0b0001u);
+  // So does a holder handed no commitments at all.
+  HolderRole h0(spec, 0);
+  EXPECT_TRUE(h0.accept_wire(wire(1, 0, honest(1, 0) + Fp61{1}), keys));
+  EXPECT_EQ(h0.cheater_mask(), 0u);
+  // The span must match the source list.
+  EXPECT_THROW(h0.reset(spec.round, std::span(contexts).first(3)),
+               ContractViolation);
+}
+
+TEST(Roles, RearmedHolderMatchesAFreshOneAcrossRounds) {
+  const RoundSpec base = make_spec(5, 2, 0);
+  const crypto::KeyStore keys(17, 5);
+  constexpr NodeId kSelf = 2;
+  HolderRole warm(base, kSelf);
+  crypto::Xoshiro256 rng(crypto::derive_seed(kSeed, 10, 0));
+  std::vector<Bytes> previous;
+  for (std::uint16_t round = 0; round < 4; ++round) {
+    warm.reset(round);
+    // Last round's packets are stale now.
+    for (const Bytes& pkt : previous) EXPECT_FALSE(warm.accept_wire(pkt, keys));
+    EXPECT_EQ(warm.contributions(), 0u);
+
+    RoundSpec spec = base;
+    spec.round = round;
+    HolderRole fresh(spec, kSelf);
+    // Source `round` stays silent, so every round sums another subset
+    // (round 2 silences the holder's own share).
+    previous.clear();
+    Bytes pkt;
+    for (std::size_t s = 0; s < spec.sources.size(); ++s) {
+      if (s == round) continue;
+      crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 11, s), round);
+      const SourceRole src(spec, spec.sources[s], rng.next_fp61(), drbg);
+      if (src.encode_share_for(kSelf, keys, pkt)) {
+        previous.push_back(pkt);
+        EXPECT_TRUE(warm.accept_wire(pkt, keys));
+        EXPECT_TRUE(fresh.accept_wire(pkt, keys));
+      } else {
+        EXPECT_TRUE(warm.accept_local(spec.sources[s], src.self_share()));
+        EXPECT_TRUE(fresh.accept_local(spec.sources[s], src.self_share()));
+      }
+    }
+    EXPECT_EQ(warm.contributor_mask(), 0b11111u & ~(1u << round));
+    EXPECT_FALSE(warm.complete());
+    EXPECT_EQ(warm.sum_packet().round, round);
+    EXPECT_EQ(warm.sum_packet().encode(), fresh.sum_packet().encode());
+  }
 }
 
 TEST(Roles, AggregatorRejectsBadSumsAndKeepsFirstPerHolder) {
@@ -335,6 +446,19 @@ TEST(Roles, SpecContractsAreChecked) {
   EXPECT_THROW(validate(spec), ContractViolation);
   spec = make_spec(3, 1, 0);
   spec.sources.push_back(0);  // duplicate
+  EXPECT_THROW(validate(spec), ContractViolation);
+  spec = make_spec(3, 1, 0);
+  spec.holders.push_back(1);  // duplicate holder
+  EXPECT_THROW(validate(spec), ContractViolation);
+  // Unsorted lists: duplicates apart in list order are still found, and
+  // distinct ids in any order pass.
+  spec = make_spec(3, 1, 0);
+  spec.sources = {9, 4, 7, 4, 2};
+  EXPECT_THROW(validate(spec), ContractViolation);
+  spec.sources = {9, 4, 7, 2};
+  spec.holders = {7, 2, 9};
+  EXPECT_NO_THROW(validate(spec));
+  spec.holders = {7, 2, 9, 2};
   EXPECT_THROW(validate(spec), ContractViolation);
   crypto::CtrDrbg drbg(1, 0);
   spec = make_spec(3, 1, 0);
