@@ -126,15 +126,11 @@ bool AdversaryEngine::equivocation_target(NodeId attacker,
           1) != 0;
 }
 
-ShamirDealer AdversaryEngine::equivocation_dealer(std::uint64_t trial_seed,
-                                                  std::uint16_t round,
-                                                  NodeId attacker,
-                                                  field::Fp61 secret,
-                                                  std::size_t degree) const {
-  crypto::CtrDrbg drbg(crypto::derive_seed(cfg_.seed ^ trial_seed,
-                                           kStreamEquivPoly,
-                                           mix_index(round, attacker, 0)));
-  return ShamirDealer(secret, degree, drbg);
+crypto::CtrDrbg AdversaryEngine::equivocation_drbg(std::uint64_t trial_seed,
+                                                   std::uint16_t round,
+                                                   NodeId attacker) const {
+  return crypto::CtrDrbg(crypto::derive_seed(
+      cfg_.seed ^ trial_seed, kStreamEquivPoly, mix_index(round, attacker, 0)));
 }
 
 field::Fp61 AdversaryEngine::sum_pollution(std::uint64_t trial_seed,

@@ -40,6 +40,7 @@
 
 #include "common/types.hpp"
 #include "core/shamir.hpp"
+#include "crypto/prng.hpp"
 #include "field/polynomial.hpp"
 #include "net/channel_model.hpp"
 
@@ -151,13 +152,13 @@ class AdversaryEngine {
   /// attacker equivocates to (~half, deterministic per attacker).
   bool equivocation_target(NodeId attacker, std::size_t holder_index) const;
 
-  /// kInconsistentShares: the second polynomial the attacker deals to
-  /// its equivocation targets — same secret and degree, fresh
-  /// coefficients, so only a commitment check can tell the shares apart.
-  ShamirDealer equivocation_dealer(std::uint64_t trial_seed,
-                                   std::uint16_t round, NodeId attacker,
-                                   field::Fp61 secret,
-                                   std::size_t degree) const;
+  /// kInconsistentShares: the DRBG the attacker deals its second
+  /// polynomial from — the one its equivocation targets get, with the
+  /// same secret and degree but fresh coefficients, so only a
+  /// commitment check can tell the shares apart.
+  crypto::CtrDrbg equivocation_drbg(std::uint64_t trial_seed,
+                                    std::uint16_t round,
+                                    NodeId attacker) const;
 
   /// kPollutedSums: the nonzero offset an attacker-held collector folds
   /// into its broadcast point-sum.

@@ -7,8 +7,9 @@
 //   * the round initiator (the most central node),
 //   * the m share-holder ("collector") nodes every source will address —
 //     chosen for maximal reachability at low NTX so the trimmed sharing
-//     phase still delivers every share (see DESIGN.md on why the holder
-//     set must be common to all sources),
+//     phase still delivers every share (the set must be common to all
+//     sources: a holder's sum is a point of the sum polynomial only if
+//     every source evaluated its polynomial at that holder's point),
 //   * a calibrated NTX for any delivery requirement (used to pick the
 //     full-coverage NTX of naive S3 honestly, instead of hard-coding it).
 #pragma once

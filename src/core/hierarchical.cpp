@@ -21,13 +21,13 @@ constexpr std::uint64_t kStreamNested = 0x4E455354ull;     // subtree sims
 
 /// The fixed knobs of every level (see HierarchicalConfig): NTX of the
 /// recombination and result floods, holders beyond degree+1 per group
-/// round, S4's early radio-off in group rounds, extra attempts of a
-/// failed batch round or flood, and the chain/flood slot cap.
+/// round, S4's early radio-off in group rounds, and extra attempts of a
+/// failed batch round or flood. Floods share the engines' slot cap,
+/// kMaxChainSlots.
 constexpr std::uint32_t kFloodNtx = 4;
 constexpr std::size_t kHolderSlack = 2;
 constexpr bool kEarlyRadioOff = true;
 constexpr std::uint32_t kMaxRetries = 2;
-constexpr std::uint32_t kMaxChainSlots = 512;
 
 /// Churn schedule of an induced subtopology: local ids looked up in the
 /// parent schedule. (Group rounds run on the trial clock, so times pass
@@ -221,7 +221,6 @@ HierarchicalProtocol::HierarchicalProtocol(const net::Topology& topo,
       cfg.round = static_cast<std::uint32_t>(b);
       cfg.initiator = group.leader_local;
       cfg.early_radio_off = kEarlyRadioOff;
-      cfg.max_chain_slots = kMaxChainSlots;
       // The group's attackers as local ids: the group round then
       // tampers/verifies/jams exactly like the flat protocol on its
       // subtopology.

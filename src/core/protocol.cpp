@@ -210,8 +210,23 @@ const AggregationResult& SssProtocol::run_round(
     ws.holder_pos[config_.share_holders[h]] = static_cast<std::uint32_t>(h);
   }
 
+  // The round's shared roles: one dealer per source, one accumulator per
+  // share holder and one aggregator. Hierarchical groups of different
+  // shapes share a workspace, so they are rebuilt when the spec changes.
+  if (!ws.aggregator.has_value() ||
+      ws.aggregator->spec().degree != spec_.degree ||
+      ws.aggregator->spec().sources != spec_.sources ||
+      ws.aggregator->spec().holders != spec_.holders) {
+    ws.aggregator.emplace(spec_);
+    ws.sources.clear();
+    for (const NodeId s : config_.sources) ws.sources.emplace_back(spec_, s);
+    ws.holders.clear();
+    for (const NodeId h : config_.share_holders) {
+      ws.holders.emplace_back(spec_, h);
+    }
+  }
+
   // ---- Stage 0: deal shares locally (live sources only) ----
-  ws.dealers.resize(num_sources);
   ws.dealt.assign(num_sources, 0);
   field::Fp61 expected_sum;
   std::uint64_t live_source_mask = 0;
@@ -236,7 +251,7 @@ const AggregationResult& SssProtocol::run_round(
         dealer_base_seed,
         0x5EC0000000000000ull |
             (static_cast<std::uint64_t>(wire_round) << 32) | src);
-    ws.dealers[i].reset(secrets[i], k, drbg);
+    ws.sources[i].deal(wire_round, secrets[i], drbg);
     ws.dealt[i] = 1;
     expected_sum += secrets[i];
     live_source_mask |= (std::uint64_t{1} << i);
@@ -262,7 +277,7 @@ const AggregationResult& SssProtocol::run_round(
     ws.verify_ctx.assign(num_sources, crypto::feldman::VerifyContext{});
     for (std::size_t s = 0; s < num_sources; ++s) {
       if (ws.dealt[s]) {
-        ws.commitments[s] = crypto::feldman::commit(ws.dealers[s].polynomial());
+        ws.commitments[s] = crypto::feldman::commit(ws.sources[s].polynomial());
         // Montgomery-cached view for the per-holder verify loop below:
         // to_mont runs once per element here instead of once per
         // (holder, element) in stage 1b.
@@ -276,10 +291,12 @@ const AggregationResult& SssProtocol::run_round(
   if (engine_.active() && engine_.kind() == AttackKind::kInconsistentShares) {
     ws.equiv_dealers.assign(num_sources, std::nullopt);
     for (std::size_t s = 0; s < num_sources; ++s) {
-      if (ws.dealt[s] && engine_.is_attacker(config_.sources[s])) {
-        ws.equiv_dealers[s] = engine_.equivocation_dealer(
-            sim.seed(), wire_round, config_.sources[s], secrets[s], k);
-      }
+      const NodeId src = config_.sources[s];
+      if (!ws.dealt[s] || !engine_.is_attacker(src)) continue;
+      crypto::CtrDrbg drbg =
+          engine_.equivocation_drbg(sim.seed(), wire_round, src);
+      ws.equiv_dealers[s].emplace(spec_, src);
+      ws.equiv_dealers[s]->deal(wire_round, secrets[s], drbg);
     }
   }
 
@@ -314,7 +331,7 @@ const AggregationResult& SssProtocol::run_round(
   share_cfg.channel = 0;
   share_cfg.ntx = config_.ntx_sharing;
   share_cfg.payload_bytes = SharePacket::kWireSize + vss_bytes;
-  share_cfg.max_chain_slots = config_.max_chain_slots;
+  share_cfg.max_chain_slots = kMaxChainSlots;
   share_cfg.radio_policy = config_.early_radio_off
                                ? ct::RadioPolicy::kEarlyOff
                                : ct::RadioPolicy::kUntilQuiescence;
@@ -363,38 +380,6 @@ const AggregationResult& SssProtocol::run_round(
   const ct::MiniCastResult& share_round = ws.share_round;
 
   // ---- Stage 1b: holders decrypt, check and sum what they got ----
-  // Share matrix, dealt row by row: each dealing source evaluates its
-  // polynomial at every holder point in one batched Horner pass instead
-  // of num_holders independent share_for calls inside the (h, s) loop.
-  // Exact field arithmetic — entries match share_for bit for bit.
-  ws.holder_xs.resize(num_holders);
-  for (std::size_t h = 0; h < num_holders; ++h) {
-    ws.holder_xs[h] = public_point(config_.share_holders[h]);
-  }
-  ws.share_matrix.assign(num_sources * num_holders, field::Fp61{});
-  for (std::size_t s = 0; s < num_sources; ++s) {
-    if (!ws.dealt[s]) continue;
-    ws.dealers[s].evaluate_at(
-        ws.holder_xs,
-        std::span<field::Fp61>{ws.share_matrix}.subspan(s * num_holders,
-                                                        num_holders));
-  }
-  const auto matrix_share = [&](std::size_t s, std::size_t h) {
-    return ws.share_matrix[s * num_holders + h];
-  };
-  // The round's shared roles: one accumulator per share holder and one
-  // aggregator. Hierarchical groups of different shapes share a
-  // workspace, so they are rebuilt when the spec changes.
-  if (!ws.aggregator.has_value() ||
-      ws.aggregator->spec().degree != spec_.degree ||
-      ws.aggregator->spec().sources != spec_.sources ||
-      ws.aggregator->spec().holders != spec_.holders) {
-    ws.aggregator.emplace(spec_);
-    ws.holders.clear();
-    for (const NodeId h : config_.share_holders) {
-      ws.holders.emplace_back(spec_, h);
-    }
-  }
   // With VSS on, every holder checks wire shares against the dealers'
   // commitments (a source that did not deal has an empty context).
   std::span<const crypto::feldman::VerifyContext> commitments;
@@ -414,9 +399,10 @@ const AggregationResult& SssProtocol::run_round(
       if (!participates(src)) continue;
       ++deliverable;
       const std::size_t entry = sharing.entry_index(s, h);
+      const roles::SourceRole& source = ws.sources[s];
       if (src == holder) {
         // Own share never travels on air (and is trivially consistent).
-        role.accept_local(src, matrix_share(s, h));
+        role.accept_local(src, source.share(h));
         ++delivered;
         continue;
       }
@@ -424,26 +410,21 @@ const AggregationResult& SssProtocol::run_round(
       ++delivered;
       // The value the source put on the air: its honest share unless it
       // is an attacker misdealing to this holder.
-      field::Fp61 on_air = matrix_share(s, h);
+      field::Fp61 on_air = source.share(h);
       if (engine_.is_attacker(src)) {
         if (engine_.kind() == AttackKind::kMalformedShares) {
           on_air = engine_.malformed_share(sim.seed(), wire_round, src,
                                            holder, on_air);
         } else if (engine_.kind() == AttackKind::kInconsistentShares &&
                    engine_.equivocation_target(src, h)) {
-          on_air = ws.equiv_dealers[s]->share_for(holder).value;
+          on_air = ws.equiv_dealers[s]->share(h);
         }
       }
       // The actual wire bytes the source would have sent. The holder
       // decrypts and authenticates them, and with VSS on drops a share
       // off its commitment and convicts the dealer. That conviction is
       // the only reject the round-trip may produce.
-      SharePacket pkt;
-      pkt.source = src;
-      pkt.destination = holder;
-      pkt.round = wire_round;
-      pkt.share = on_air;
-      pkt.encode_into(keys, ws.wire);
+      source.encode_share(h, on_air, keys, ws.wire);
       if (!role.accept_wire(ws.wire, keys)) {
         MPCIOT_ENSURE((role.cheater_mask() >> s) & 1,
                       "protocol: AES/CMAC round-trip must succeed");
@@ -530,7 +511,7 @@ const AggregationResult& SssProtocol::run_round(
   recon_cfg.channel = 0;
   recon_cfg.ntx = config_.ntx_reconstruction;
   recon_cfg.payload_bytes = SumPacket::kWireSize;
-  recon_cfg.max_chain_slots = config_.max_chain_slots;
+  recon_cfg.max_chain_slots = kMaxChainSlots;
   recon_cfg.radio_policy = share_cfg.radio_policy;
   recon_cfg.disabled = dead;
   recon_cfg.start_time_us = recon_start_us;
@@ -699,7 +680,7 @@ std::uint32_t suggest_s3_ntx(const net::Topology& topo,
       topo, topo.center_node(), sources,
       std::vector<char>(topo.size(), 0));
   base.payload_bytes = SharePacket::kWireSize;
-  base.max_chain_slots = 512;
+  base.max_chain_slots = kMaxChainSlots;
   base.scheduled_owners = sources;  // slot-synced sources may self-trigger
   // The naive protocol runs the flood "to attain full network coverage"
   // (§III): every node — holder or relay — ends up with the entire chain.

@@ -27,7 +27,6 @@
 #include "common/types.hpp"
 #include "core/adversary.hpp"
 #include "core/roles.hpp"
-#include "core/shamir.hpp"
 #include "crypto/feldman.hpp"
 #include "crypto/keystore.hpp"
 #include "ct/chain_schedule.hpp"
@@ -88,6 +87,9 @@ struct RoundEnv {
   ct::ChannelTimeline* timeline = nullptr;
 };
 
+/// Slot cap of every chain round and flood the protocol engines run.
+inline constexpr std::uint32_t kMaxChainSlots = 512;
+
 struct ProtocolConfig {
   /// Nodes contributing a secret, in schedule order (max 64 per round —
   /// the SumPacket contributor bitmap width).
@@ -111,7 +113,6 @@ struct ProtocolConfig {
   /// S4's energy optimization: radios off once NTX spent and local
   /// completion reached.
   bool early_radio_off = false;
-  std::uint32_t max_chain_slots = 512;
   /// Failure injection: nodes dead for the entire round.
   std::vector<NodeId> failed_nodes;
   /// Active-misbehaviour model (kNone: every node honest — the default
@@ -195,24 +196,24 @@ struct RoundWorkspace {
 
   std::vector<char> dead;
   std::vector<char> down_at_start;
-  std::vector<ShamirDealer> dealers;  // one slot per source, re-dealt
-  std::vector<char> dealt;            // which slots dealt this round
+  std::vector<char> dealt;  // which sources dealt this round
   std::vector<std::optional<crypto::feldman::Commitment>> commitments;
   std::vector<crypto::feldman::VerifyContext> verify_ctx;  // per source
-  std::vector<std::optional<ShamirDealer>> equiv_dealers;
+  /// kInconsistentShares: each attacker source's second deal.
+  std::vector<std::optional<roles::SourceRole>> equiv_dealers;
   std::vector<std::uint32_t> holder_pos;   // node id -> holder index
   std::vector<std::uint64_t> holder_need;  // flat per-holder entry masks
   std::size_t holder_need_words = 0;
-  std::vector<field::Fp61> holder_xs;    // holders' public points
-  std::vector<field::Fp61> share_matrix; // [s * num_holders + h] = P_s(x_h)
   std::vector<char> sum_bad;
   std::vector<std::uint64_t> usable_mask;
   std::size_t recon_threshold = 0;
   Bytes wire;  // packet encode/decode round-trip buffer
-  /// Stage 1b's accumulators, one per share holder, and the aggregator
+  /// The round's shared roles: stage 0's dealers, one per source,
+  /// stage 1b's accumulators, one per share holder, and the aggregator
   /// behind stage 2's completion oracle and every node's stage-3
-  /// reconstruction. Re-armed per use; rebuilt only when the workspace
-  /// moves to a protocol with another spec.
+  /// reconstruction. Re-dealt or re-armed per use; rebuilt only when
+  /// the workspace moves to a protocol with another spec.
+  std::vector<roles::SourceRole> sources;
   std::vector<roles::HolderRole> holders;
   std::optional<roles::AggregatorRole> aggregator;
   ct::GlossyConfig sync_cfg;

@@ -45,16 +45,30 @@ std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
   return static_cast<std::size_t>(it - list.begin());
 }
 
-SourceRole::SourceRole(const RoundSpec& spec, NodeId self, field::Fp61 secret,
-                       crypto::CtrDrbg& drbg)
-    : spec_(spec), self_(self), dealer_(secret, spec.degree, drbg) {
+SourceRole::SourceRole(const RoundSpec& spec, NodeId self)
+    : spec_(spec), self_(self), shares_(spec.holders.size()) {
   validate(spec_);
   MPCIOT_REQUIRE(index_of(spec_.sources, self).has_value(),
                  "SourceRole: node is not a source of this round");
+  points_.reserve(spec_.holders.size());
+  for (const NodeId h : spec_.holders) points_.push_back(public_point(h));
 }
 
-bool SourceRole::encode_share_for(std::size_t i, const crypto::KeyStore& keys,
-                                  Bytes& wire) const {
+void SourceRole::deal(std::uint16_t round, field::Fp61 secret,
+                      crypto::CtrDrbg& drbg) {
+  spec_.round = round;
+  dealer_.reset(secret, spec_.degree, drbg);
+  dealer_.evaluate_at(points_, shares_);
+}
+
+field::Fp61 SourceRole::share(std::size_t i) const {
+  MPCIOT_REQUIRE(i < shares_.size(), "SourceRole: holder index");
+  return shares_[i];
+}
+
+bool SourceRole::encode_share(std::size_t i, field::Fp61 value,
+                              const crypto::KeyStore& keys,
+                              Bytes& wire) const {
   MPCIOT_REQUIRE(i < spec_.holders.size(), "SourceRole: holder index");
   const NodeId holder = spec_.holders[i];
   if (holder == self_) return false;
@@ -62,13 +76,9 @@ bool SourceRole::encode_share_for(std::size_t i, const crypto::KeyStore& keys,
   pkt.source = self_;
   pkt.destination = holder;
   pkt.round = spec_.round;
-  pkt.share = dealer_.share_for(holder).value;
+  pkt.share = value;
   pkt.encode_into(keys, wire);
   return true;
-}
-
-field::Fp61 SourceRole::self_share() const {
-  return dealer_.share_for(self_).value;
 }
 
 HolderRole::HolderRole(const RoundSpec& spec, NodeId self)

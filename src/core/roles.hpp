@@ -12,14 +12,18 @@
 //                       contributor mask, Lagrange-reconstruct the
 //                       aggregate at x = 0.
 //
-// HolderRole is the only accumulation code in the library and carries
-// the Feldman share check: SssProtocol's stage 1b, the unicast baseline
-// and the rt node all sum shares through it, and every broadcast
-// SumPacket comes from HolderRole::sum_packet(). AggregatorRole is the
-// only mask-selection and reconstruction code: SssProtocol's completion
+// SourceRole is the only dealing code in the library: SssProtocol's
+// stage 0 and its equivocating attackers, the unicast baseline and the
+// rt node all deal through it, each from its own DRBG stream, and every
+// SharePacket a source sends comes from SourceRole::encode_share().
+// HolderRole is the only accumulation code and carries the Feldman
+// share check: SssProtocol's stage 1b, the unicast baseline and the rt
+// node all sum shares through it, and every broadcast SumPacket comes
+// from HolderRole::sum_packet(). AggregatorRole is the only
+// mask-selection and reconstruction code: SssProtocol's completion
 // oracle and per-node reconstruction, the unicast baseline and the rt
 // coordinator all run it. The simulator and the socket runtime share
-// both rules by construction.
+// all three rules by construction.
 //
 // Reconstruction over any degree+1 sums with identical contributor
 // masks yields the same field element (exact arithmetic over points of
@@ -62,24 +66,32 @@ void validate(const RoundSpec& spec);
 std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
                                     NodeId node);
 
-/// Dealer side: shares `secret` out to the spec's holders.
+/// Dealer side: shares a secret out to the spec's holders.
 class SourceRole {
  public:
-  /// Deals a fresh degree-`spec.degree` polynomial with constant term
-  /// `secret`, coefficients drawn from `drbg`. Precondition: `self` is
-  /// one of spec.sources.
-  SourceRole(const RoundSpec& spec, NodeId self, field::Fp61 secret,
-             crypto::CtrDrbg& drbg);
+  /// Precondition: `self` is one of spec.sources. Holds no deal until
+  /// deal() runs.
+  SourceRole(const RoundSpec& spec, NodeId self);
 
-  /// Encode the SharePacket for spec.holders[i] into `wire`. Returns
-  /// false (leaving `wire` untouched) when that holder is this node:
-  /// self-shares never travel — fetch the value via self_share().
-  bool encode_share_for(std::size_t i, const crypto::KeyStore& keys,
-                        Bytes& wire) const;
+  /// Deal a fresh degree-`spec.degree` polynomial with constant term
+  /// `secret`, coefficients drawn from `drbg`, and evaluate every
+  /// holder's share in one batched pass; packets carry `round`. A warm
+  /// role re-deals without touching the heap.
+  void deal(std::uint16_t round, field::Fp61 secret, crypto::CtrDrbg& drbg);
 
-  /// The share destined for this node itself (valid whether or not the
-  /// node is a holder this round).
-  field::Fp61 self_share() const;
+  /// The share dealt to spec.holders[i] (ShamirDealer::share_for of
+  /// that holder, bit for bit).
+  field::Fp61 share(std::size_t i) const;
+
+  /// The dealt polynomial, for feldman::commit.
+  const field::Polynomial& polynomial() const { return dealer_.polynomial(); }
+
+  /// Encode the SharePacket carrying `value` to spec.holders[i] into
+  /// `wire`. Returns false (leaving `wire` untouched) when that holder
+  /// is this node: own shares never travel. Honest callers pass
+  /// share(i); an attacker passes the value it puts on the air.
+  bool encode_share(std::size_t i, field::Fp61 value,
+                    const crypto::KeyStore& keys, Bytes& wire) const;
 
   const RoundSpec& spec() const { return spec_; }
 
@@ -87,6 +99,8 @@ class SourceRole {
   RoundSpec spec_;
   NodeId self_;
   ShamirDealer dealer_;
+  std::vector<field::Fp61> points_;  // holders' public points
+  std::vector<field::Fp61> shares_;  // per holder index
 };
 
 /// Share-collector side: accumulates authenticated shares into the

@@ -1,7 +1,6 @@
 #include "core/unicast_baseline.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "common/assert.hpp"
 #include "core/roles.hpp"
@@ -36,11 +35,13 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
   const std::size_t n = topo.size();
   const std::size_t num_sources = config.sources.size();
   const std::size_t num_holders = config.share_holders.size();
-  const std::size_t k = config.degree;
 
-  // Deal shares exactly like the CT protocol does.
-  std::vector<ShamirDealer> dealers;
-  dealers.reserve(num_sources);
+  // Deal shares through the CT protocol's dealing rule.
+  const auto wire_round = static_cast<std::uint16_t>(config.round & 0xFFFFu);
+  const roles::RoundSpec spec{config.sources, config.share_holders,
+                              config.degree, wire_round};
+  std::vector<roles::SourceRole> sources;
+  sources.reserve(num_sources);
   field::Fp61 expected_sum;
   for (std::size_t i = 0; i < num_sources; ++i) {
     crypto::CtrDrbg drbg(
@@ -48,7 +49,8 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
         0x0D1C000000000000ull |
             (static_cast<std::uint64_t>(config.round) << 32) |
             config.sources[i]);
-    dealers.emplace_back(secrets[i], k, drbg);
+    sources.emplace_back(spec, config.sources[i])
+        .deal(wire_round, secrets[i], drbg);
     expected_sum += secrets[i];
   }
 
@@ -86,27 +88,11 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
   // Keep the simulation clock aligned with the channel occupancy the
   // two phases accumulated (single collision domain: walks serialize).
   result.total_duration_us = share_round.duration_us + recon_round.duration_us;
-  sim.events().schedule_in(result.total_duration_us, [] {});
-  sim.events().step();
+  sim.advance(result.total_duration_us);
 
   // Holder sums from delivered shares, through the shared accumulation
   // rule. Own shares never travel on air, and the unicast model carries
-  // no ciphertext, so every share enters through accept_local. Each
-  // dealer evaluates at all holder points in one batched pass; the
-  // (h, s) loop then only reads the matrix.
-  std::vector<field::Fp61> holder_xs(num_holders);
-  for (std::size_t h = 0; h < num_holders; ++h) {
-    holder_xs[h] = public_point(config.share_holders[h]);
-  }
-  std::vector<field::Fp61> share_matrix(num_sources * num_holders);
-  for (std::size_t s = 0; s < num_sources; ++s) {
-    dealers[s].evaluate_at(
-        holder_xs, std::span<field::Fp61>{share_matrix}.subspan(
-                       s * num_holders, num_holders));
-  }
-  const auto wire_round = static_cast<std::uint16_t>(config.round & 0xFFFFu);
-  const roles::RoundSpec spec{config.sources, config.share_holders, k,
-                              wire_round};
+  // no ciphertext, so every share enters through accept_local.
   std::vector<roles::HolderRole> holders;
   holders.reserve(num_holders);
   std::size_t delivered = 0;
@@ -123,7 +109,7 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
         }
         ++delivered;
       }
-      holder.accept_local(config.sources[s], share_matrix[s * num_holders + h]);
+      holder.accept_local(config.sources[s], sources[s].share(h));
     }
   }
 

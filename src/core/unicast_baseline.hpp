@@ -8,12 +8,14 @@
 //   * per-hop stop-and-wait ARQ: data + ack airtime, Bernoulli(link PRR)
 //     per attempt, bounded retries;
 //   * single collision domain (transmissions serialize network-wide) —
-//     conservative for dense indoor testbeds, documented in DESIGN.md;
+//     conservative for dense indoor testbeds;
 //   * radio-on per node = its own TX/RX time + an idle-listening duty
 //     cycle for the rest of the round (low-power-listening stacks pay
 //     this to stay addressable).
 //
-// Implemented on the discrete-event engine (sim::EventQueue).
+// Both phases run as ct::UnicastTransport chain rounds behind the
+// transport seam; the round then advances the trial clock
+// (sim::Simulator::advance) by its total duration.
 #pragma once
 
 #include <cstdint>

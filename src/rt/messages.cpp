@@ -1,5 +1,7 @@
 #include "rt/messages.hpp"
 
+#include <algorithm>
+
 namespace mpciot::rt {
 
 namespace {
@@ -24,6 +26,8 @@ bool get_id_list(Reader& r, std::vector<NodeId>* ids) {
   for (std::uint16_t i = 0; i < n; ++i) {
     std::uint32_t id = 0;
     if (!r.u32(&id)) return false;
+    // A repeated id would fail roles::validate in the daemons.
+    if (std::find(ids->begin(), ids->end(), id) != ids->end()) return false;
     ids->push_back(id);
   }
   return true;

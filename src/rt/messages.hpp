@@ -44,7 +44,9 @@ struct Refuse {
 
 /// coordinator -> node: the node's group assignment for the deployment.
 /// Sources and holders are global ids in schedule order; bit i of every
-/// contributor mask refers to sources[i].
+/// contributor mask refers to sources[i]. decode() rejects every
+/// assignment core::roles::validate would (an empty list, a repeated
+/// id, degree 0, fewer holders than degree + 1) and lists over 64 ids.
 struct Assign {
   std::uint32_t group = 0;
   std::uint32_t degree = 1;

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "crypto/prng.hpp"
@@ -53,7 +54,7 @@ class NodeDaemon {
         return;
       case FrameType::kAssign: {
         auto msg = Assign::decode(frame.payload);
-        if (!msg.has_value()) return fail();
+        if (!msg.has_value() || !in_deployment(*msg)) return fail();
         assign_ = std::move(*msg);
         return;
       }
@@ -85,6 +86,14 @@ class NodeDaemon {
     }
   }
 
+  /// Every id the assignment names is a node of this deployment (the
+  /// pairwise keystore holds no key for any other id).
+  bool in_deployment(const Assign& assign) const {
+    const auto known = [this](NodeId id) { return id < config_.node_count; };
+    return std::all_of(assign.sources.begin(), assign.sources.end(), known) &&
+           std::all_of(assign.holders.begin(), assign.holders.end(), known);
+  }
+
   void start_round(std::uint16_t round) {
     round_ = round;
     core::roles::RoundSpec spec;
@@ -105,7 +114,8 @@ class NodeDaemon {
           crypto::derive_seed(config_.deployment_seed, kStreamDeal,
                               config_.node),
           round);
-      const core::roles::SourceRole source(spec, config_.node, secret, drbg);
+      core::roles::SourceRole source(spec, config_.node);
+      source.deal(round, secret, drbg);
 
       const bool crash_now = config_.crash_at_round == round;
       Bytes wire;
@@ -114,15 +124,15 @@ class NodeDaemon {
         // die — no surviving holder set can reconstruct a mask that
         // includes this node, forcing threshold recovery on the rest.
         if (crash_now && i >= spec.degree) break;
-        if (source.encode_share_for(i, keys_, wire)) {
+        if (source.encode_share(i, source.share(i), keys_, wire)) {
           ShareFwd fwd;
           fwd.dst = spec.holders[i];
           fwd.packet = wire;
           if (!loop_.send_frame(conn_, FrameType::kShareFwd, fwd.encode())) {
             return fail();
           }
-        } else if (holder_.has_value()) {
-          holder_->accept_local(config_.node, source.self_share());
+        } else {
+          holder_->accept_local(config_.node, source.share(i));
         }
       }
       if (crash_now) _exit(kExitCrashed);

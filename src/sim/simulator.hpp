@@ -1,4 +1,5 @@
-// Simulation context: event queue + RNG streams + run bookkeeping.
+// Simulation context: the trial clock, the channel RNG stream and the
+// run's dynamics models.
 //
 // One `Simulator` owns the clock for one experiment run. Protocol code
 // takes a Simulator& and never touches wall-clock time or global RNGs,
@@ -7,9 +8,9 @@
 
 #include <cstdint>
 
+#include "common/types.hpp"
 #include "crypto/prng.hpp"
 #include "net/channel_model.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mpciot::sim {
 
@@ -17,17 +18,13 @@ class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
 
-  EventQueue& events() { return events_; }
-  const EventQueue& events() const { return events_; }
-  SimTime now() const { return events_.now(); }
+  /// The trial clock: where the next round starts.
+  SimTime now() const { return now_; }
+  /// Move the clock `dt` forward. Precondition: dt >= 0.
+  void advance(SimTime dt);
 
   /// Channel/link randomness (statistical PRNG).
   crypto::Xoshiro256& channel_rng() { return channel_rng_; }
-
-  /// Per-node secret randomness stream, domain-separated by node id.
-  crypto::CtrDrbg secret_rng(std::uint32_t node_id) const {
-    return crypto::CtrDrbg{seed_, 0x5EC0000000000000ull | node_id};
-  }
 
   std::uint64_t seed() const { return seed_; }
 
@@ -47,12 +44,9 @@ class Simulator {
   }
   const net::LivenessModel* liveness() const { return liveness_; }
 
-  /// Run to completion (or until `until`).
-  std::size_t run(SimTime until = INT64_MAX) { return events_.run(until); }
-
  private:
   std::uint64_t seed_;
-  EventQueue events_;
+  SimTime now_ = 0;
   crypto::Xoshiro256 channel_rng_;
   const net::ChannelModel* channel_model_ = nullptr;
   const net::LivenessModel* liveness_ = nullptr;

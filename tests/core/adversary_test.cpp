@@ -166,8 +166,8 @@ TEST(AdversaryEngine, EquivocationSplitsHoldersAndKeepsTheSecret) {
   constexpr std::size_t kDegree = 2;
   crypto::CtrDrbg honest_drbg(10, 0);
   const ShamirDealer honest(secret, kDegree, honest_drbg);
-  const ShamirDealer equiv =
-      engine.equivocation_dealer(55, 0, 0, secret, kDegree);
+  crypto::CtrDrbg equiv_drbg = engine.equivocation_drbg(55, 0, 0);
+  const ShamirDealer equiv(secret, kDegree, equiv_drbg);
   EXPECT_EQ(equiv.degree(), kDegree);
   std::vector<Share> shares = equiv.shares_for({1, 2, 3});
   EXPECT_EQ(reconstruct(shares, kDegree), secret);

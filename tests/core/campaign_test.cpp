@@ -166,8 +166,7 @@ TEST(Campaign, ChurnMidCampaignRecoversWithoutPoisoningWarmState) {
   // One more warm round, long after recovery: the full sum — victim
   // included — reconstructs at every node. Advance the trial clock past
   // the churn window first (run_round starts at sim.now()).
-  sim.events().schedule_in(200 * kMillisecond, [] {});
-  sim.run();
+  sim.advance(200 * kMillisecond);
   ASSERT_GE(sim.now(), 200 * kMillisecond);
   std::vector<Fp61> secrets(topo.size());
   fill_round(9, secrets);

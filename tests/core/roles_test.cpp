@@ -52,13 +52,13 @@ std::optional<AggregateOutcome> run_roles_round(
   Bytes wire;
   for (std::size_t s = 0; s < spec.sources.size(); ++s) {
     crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 1, s), spec.round);
-    const SourceRole src(spec, spec.sources[s], secrets[s], drbg);
+    SourceRole src(spec, spec.sources[s]);
+    src.deal(spec.round, secrets[s], drbg);
     for (std::size_t h = 0; h < spec.holders.size(); ++h) {
-      if (src.encode_share_for(h, keys, wire)) {
+      if (src.encode_share(h, src.share(h), keys, wire)) {
         EXPECT_TRUE(holders[h].accept_wire(wire, keys));
       } else {
-        EXPECT_TRUE(
-            holders[h].accept_local(spec.sources[s], src.self_share()));
+        EXPECT_TRUE(holders[h].accept_local(spec.sources[s], src.share(h)));
       }
     }
   }
@@ -153,12 +153,13 @@ TEST(Roles, HolderRejectsForeignWrongRoundAndDuplicateShares) {
   const RoundSpec spec = make_spec(4, 1, 3);
   const crypto::KeyStore keys(7, 4);
   crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 5, 0), 0);
-  const SourceRole src(spec, 0, Fp61{123}, drbg);
+  SourceRole src(spec, 0);
+  src.deal(spec.round, Fp61{123}, drbg);
 
   HolderRole h1(spec, 1);
   HolderRole h2(spec, 2);
   Bytes wire;
-  ASSERT_TRUE(src.encode_share_for(1, keys, wire));
+  ASSERT_TRUE(src.encode_share(1, src.share(1), keys, wire));
   EXPECT_FALSE(h2.accept_wire(wire, keys));  // addressed to holder 1
   EXPECT_TRUE(h1.accept_wire(wire, keys));
   EXPECT_FALSE(h1.accept_wire(wire, keys));  // duplicate source
@@ -166,39 +167,74 @@ TEST(Roles, HolderRejectsForeignWrongRoundAndDuplicateShares) {
   RoundSpec other = spec;
   other.round = 4;
   crypto::CtrDrbg drbg2(crypto::derive_seed(kSeed, 5, 1), 0);
-  const SourceRole src_other(other, 0, Fp61{123}, drbg2);
+  SourceRole src_other(other, 0);
+  src_other.deal(other.round, Fp61{123}, drbg2);
   HolderRole h1b(spec, 1);
-  ASSERT_TRUE(src_other.encode_share_for(1, keys, wire));
+  ASSERT_TRUE(src_other.encode_share(1, src_other.share(1), keys, wire));
   EXPECT_FALSE(h1b.accept_wire(wire, keys));  // round mismatch
   EXPECT_EQ(h1b.contributions(), 0u);
 }
 
-/// The SharePacket `src` would send `dst` in `round`, carrying `value`.
-Bytes share_wire(NodeId src, NodeId dst, std::uint16_t round, Fp61 value,
-                 const crypto::KeyStore& keys) {
-  SharePacket pkt;
-  pkt.source = src;
-  pkt.destination = dst;
-  pkt.round = round;
-  pkt.share = value;
-  return pkt.encode(keys);
+TEST(Roles, SourceDealsTheDealersSharesAndWiresOnlyOthers) {
+  // Unsorted holders that are not the source list; the source is one of
+  // the holders.
+  RoundSpec spec;
+  spec.sources = {6, 2, 9};
+  spec.holders = {4, 9, 1, 7};
+  spec.degree = 2;
+  const crypto::KeyStore keys(17, 10);
+  SourceRole src(spec, 9);
+  for (std::uint16_t round = 0; round < 3; ++round) {
+    // Every (re-)deal draws exactly what a fresh ShamirDealer draws
+    // from the same stream, and the batched shares are share_for's.
+    const Fp61 secret{1000u + round};
+    crypto::CtrDrbg role_drbg(crypto::derive_seed(kSeed, 12, round), round);
+    crypto::CtrDrbg ref_drbg(crypto::derive_seed(kSeed, 12, round), round);
+    src.deal(round, secret, role_drbg);
+    const ShamirDealer ref(secret, spec.degree, ref_drbg);
+    EXPECT_EQ(src.polynomial().coefficients(),
+              ref.polynomial().coefficients());
+    for (std::size_t i = 0; i < spec.holders.size(); ++i) {
+      EXPECT_EQ(src.share(i), ref.share_for(spec.holders[i]).value);
+    }
+    // Own share never travels: no packet, the buffer is left alone.
+    Bytes wire{0x5A};
+    EXPECT_FALSE(src.encode_share(1, src.share(1), keys, wire));
+    EXPECT_EQ(wire, Bytes{0x5A});
+    // Other holders get the value passed in, under the dealt round.
+    ASSERT_TRUE(src.encode_share(3, src.share(3) + Fp61{1}, keys, wire));
+    const std::optional<SharePacket> pkt = SharePacket::decode(wire, keys);
+    ASSERT_TRUE(pkt.has_value());
+    EXPECT_EQ(pkt->source, 9u);
+    EXPECT_EQ(pkt->destination, 7u);
+    EXPECT_EQ(pkt->round, round);
+    EXPECT_EQ(pkt->share, src.share(3) + Fp61{1});
+  }
+  EXPECT_THROW(src.share(4), ContractViolation);
+  Bytes wire;
+  EXPECT_THROW(src.encode_share(4, Fp61{1}, keys, wire), ContractViolation);
 }
 
 TEST(Roles, HolderConvictsADealerWhoseShareIsOffItsCommitment) {
   const RoundSpec spec = make_spec(4, 1, 3);
   const crypto::KeyStore keys(7, 4);
-  std::vector<ShamirDealer> dealers;
+  std::vector<SourceRole> dealers;
   std::vector<crypto::feldman::VerifyContext> contexts;
   for (std::size_t s = 0; s < 4; ++s) {
     crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 9, s), 0);
-    dealers.emplace_back(Fp61{100 + s}, spec.degree, drbg);
+    dealers.emplace_back(spec, spec.sources[s])
+        .deal(spec.round, Fp61{100 + s}, drbg);
     contexts.emplace_back(crypto::feldman::commit(dealers[s].polynomial()));
   }
+  // Node ids double as holder indices in this spec.
   const auto honest = [&](NodeId src, NodeId dst) {
-    return dealers[src].share_for(dst).value;
+    return dealers[src].share(dst);
   };
+  // The SharePacket `src` puts on the air to `dst`, carrying `value`.
   const auto wire = [&](NodeId src, NodeId dst, Fp61 value) {
-    return share_wire(src, dst, spec.round, value, keys);
+    Bytes out;
+    EXPECT_TRUE(dealers[src].encode_share(dst, value, keys, out));
+    return out;
   };
 
   HolderRole h1(spec, 1);
@@ -265,14 +301,15 @@ TEST(Roles, RearmedHolderMatchesAFreshOneAcrossRounds) {
     for (std::size_t s = 0; s < spec.sources.size(); ++s) {
       if (s == round) continue;
       crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 11, s), round);
-      const SourceRole src(spec, spec.sources[s], rng.next_fp61(), drbg);
-      if (src.encode_share_for(kSelf, keys, pkt)) {
+      SourceRole src(spec, spec.sources[s]);
+      src.deal(round, rng.next_fp61(), drbg);
+      if (src.encode_share(kSelf, src.share(kSelf), keys, pkt)) {
         previous.push_back(pkt);
         EXPECT_TRUE(warm.accept_wire(pkt, keys));
         EXPECT_TRUE(fresh.accept_wire(pkt, keys));
       } else {
-        EXPECT_TRUE(warm.accept_local(spec.sources[s], src.self_share()));
-        EXPECT_TRUE(fresh.accept_local(spec.sources[s], src.self_share()));
+        EXPECT_TRUE(warm.accept_local(spec.sources[s], src.share(kSelf)));
+        EXPECT_TRUE(fresh.accept_local(spec.sources[s], src.share(kSelf)));
       }
     }
     EXPECT_EQ(warm.contributor_mask(), 0b11111u & ~(1u << round));
@@ -418,14 +455,15 @@ TEST(Roles, ReducedButConsistentMaskWinsOverFragmentedFullMasks) {
   Bytes wire;
   for (std::size_t s = 0; s < 5; ++s) {
     crypto::CtrDrbg drbg(crypto::derive_seed(kSeed, 7, s), 0);
-    const SourceRole src(spec, spec.sources[s], secrets[s], drbg);
+    SourceRole src(spec, spec.sources[s]);
+    src.deal(spec.round, secrets[s], drbg);
     for (std::size_t h = 0; h < 5; ++h) {
       if (s == 4 && h != 1) continue;  // source 4 "crashed" mid-deal:
                                        // only holder 1 got its share
-      if (src.encode_share_for(h, keys, wire)) {
+      if (src.encode_share(h, src.share(h), keys, wire)) {
         holders[h].accept_wire(wire, keys);
       } else {
-        holders[h].accept_local(spec.sources[s], src.self_share());
+        holders[h].accept_local(spec.sources[s], src.share(h));
       }
     }
   }
@@ -460,9 +498,8 @@ TEST(Roles, SpecContractsAreChecked) {
   EXPECT_NO_THROW(validate(spec));
   spec.holders = {7, 2, 9, 2};
   EXPECT_THROW(validate(spec), ContractViolation);
-  crypto::CtrDrbg drbg(1, 0);
   spec = make_spec(3, 1, 0);
-  EXPECT_THROW(SourceRole(spec, 99, Fp61{1}, drbg), ContractViolation);
+  EXPECT_THROW(SourceRole(spec, 99), ContractViolation);
   EXPECT_THROW(HolderRole(spec, 99), ContractViolation);
 }
 

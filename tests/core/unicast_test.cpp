@@ -110,6 +110,8 @@ TEST(UnicastBaseline, IsExactlyTheSeamComposition) {
 
   EXPECT_EQ(res.total_duration_us,
             share_round.duration_us + recon_round.duration_us);
+  // The trial clock moved by exactly the round.
+  EXPECT_EQ(sim1.now(), res.total_duration_us);
   for (NodeId i = 0; i < topo.size(); ++i) {
     const SimTime idle = static_cast<SimTime>(
         params.idle_duty_cycle *

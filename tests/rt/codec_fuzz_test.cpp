@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/roles.hpp"
 #include "crypto/prng.hpp"
 #include "rt/frame.hpp"
 #include "rt/messages.hpp"
@@ -141,8 +142,19 @@ TEST(CodecFuzz, HeaderBitFlipsRejectCleanly) {
   }
 }
 
+/// An Assign that decoded is a spec the daemons' roles accept.
+void expect_valid_spec(const Assign& assign, int c) {
+  core::roles::RoundSpec spec;
+  spec.sources = assign.sources;
+  spec.holders = assign.holders;
+  spec.degree = assign.degree;
+  EXPECT_NO_THROW(core::roles::validate(spec)) << "case " << c;
+}
+
 TEST(CodecFuzz, MessageDecodersSurviveRandomPayloads) {
   constexpr int kCases = 3000;
+  int near_accepted = 0;
+  int near_rejected = 0;
   for (int c = 0; c < kCases; ++c) {
     Xoshiro256 rng(derive_seed(kBase, 5, c));
     const Bytes payload = random_bytes(rng.next_below(96), rng);
@@ -158,12 +170,28 @@ TEST(CodecFuzz, MessageDecodersSurviveRandomPayloads) {
     (void)RoundResult::decode(payload);
     (void)Shutdown::decode(payload);
     const auto assign = Assign::decode(payload);
-    if (assign.has_value()) {
-      EXPECT_GE(assign->degree, 1u) << "case " << c;
-      EXPECT_LE(assign->degree + 1, assign->holders.size()) << "case " << c;
-      EXPECT_LE(assign->sources.size(), 64u) << "case " << c;
+    if (assign.has_value()) expect_valid_spec(*assign, c);
+
+    // Random bytes almost never frame an Assign. Well-framed ones with
+    // random degrees and ids from a small range (repeats are common)
+    // reach every spec check.
+    Assign near;
+    near.degree = 1 + static_cast<std::uint32_t>(rng.next_below(3));
+    for (auto* list : {&near.sources, &near.holders}) {
+      for (std::uint64_t i = 1 + rng.next_below(8); i > 0; --i) {
+        list->push_back(static_cast<NodeId>(rng.next_below(8)));
+      }
+    }
+    const auto decoded = Assign::decode(near.encode());
+    if (decoded.has_value()) {
+      expect_valid_spec(*decoded, c);
+      ++near_accepted;
+    } else {
+      ++near_rejected;
     }
   }
+  EXPECT_GT(near_accepted, 0);
+  EXPECT_GT(near_rejected, 0);
 }
 
 TEST(CodecFuzz, MessageTruncationsAlwaysReject) {

@@ -138,6 +138,14 @@ TEST(Messages, AssignRoundTripsAndValidates) {
   Assign bad = m;
   bad.degree = 4;
   EXPECT_FALSE(Assign::decode(bad.encode()).has_value());
+  // A repeated source or holder id must reject: the daemons' roles
+  // would refuse the spec.
+  bad = m;
+  bad.sources = {10, 11, 12, 11};
+  EXPECT_FALSE(Assign::decode(bad.encode()).has_value());
+  bad = m;
+  bad.holders = {13, 10, 11, 12, 13};
+  EXPECT_FALSE(Assign::decode(bad.encode()).has_value());
   // A list-length lie (count beyond the payload) must reject, not read
   // out of bounds.
   Bytes wire = m.encode();

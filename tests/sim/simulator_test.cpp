@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/assert.hpp"
+
 namespace mpciot::sim {
 namespace {
 
@@ -28,32 +30,15 @@ TEST(Simulator, DifferentSeedsGiveDifferentChannels) {
   EXPECT_LT(equal, 2);
 }
 
-TEST(Simulator, SecretRngIsDomainSeparatedByNode) {
-  Simulator sim(7);
-  auto a = sim.secret_rng(1);
-  auto b = sim.secret_rng(2);
-  int equal = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (a.next_u64() == b.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
-TEST(Simulator, SecretRngIndependentOfChannelDraws) {
-  Simulator a(7);
-  Simulator b(7);
-  // Consuming channel randomness must not shift the secret stream.
-  for (int i = 0; i < 10; ++i) a.channel_rng().next_u64();
-  EXPECT_EQ(a.secret_rng(3).next_u64(), b.secret_rng(3).next_u64());
-}
-
-TEST(Simulator, RunDrivesEventQueue) {
+TEST(Simulator, AdvanceMovesTheClock) {
   Simulator sim(1);
-  int count = 0;
-  sim.events().schedule_at(10, [&] { ++count; });
-  sim.events().schedule_at(20, [&] { ++count; });
-  EXPECT_EQ(sim.run(), 2u);
-  EXPECT_EQ(sim.now(), 20);
+  EXPECT_EQ(sim.now(), 0);
+  sim.advance(10);
+  sim.advance(0);
+  sim.advance(15);
+  EXPECT_EQ(sim.now(), 25);
+  EXPECT_THROW(sim.advance(-1), ContractViolation);
+  EXPECT_EQ(sim.now(), 25);
 }
 
 }  // namespace
