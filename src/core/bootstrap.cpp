@@ -1,50 +1,10 @@
 #include "core/bootstrap.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/assert.hpp"
-#include "ct/glossy.hpp"
 
 namespace mpciot::core {
-
-ReachabilityTable probe_reachability(const net::Topology& topo,
-                                     std::uint32_t max_ntx,
-                                     std::uint32_t trials,
-                                     crypto::Xoshiro256& rng,
-                                     const ct::Transport* transport) {
-  const ct::Transport& substrate =
-      transport != nullptr ? *transport : ct::minicast_transport();
-  const std::size_t n = topo.size();
-  ReachabilityTable table;
-  table.min_ntx.assign(
-      n, std::vector<std::uint32_t>(n, ReachabilityTable::kUnreachable));
-
-  for (NodeId initiator = 0; initiator < n; ++initiator) {
-    table.min_ntx[initiator][initiator] = 0;
-    for (std::uint32_t ntx = 1; ntx <= max_ntx; ++ntx) {
-      // A receiver is "reachable at ntx" if it received the probe in
-      // every trial at this ntx.
-      std::vector<std::uint32_t> hits(n, 0);
-      for (std::uint32_t t = 0; t < trials; ++t) {
-        ct::GlossyConfig cfg;
-        cfg.initiator = initiator;
-        cfg.ntx = ntx;
-        const ct::GlossyResult res = substrate.flood(topo, cfg, rng);
-        for (NodeId r = 0; r < n; ++r) {
-          if (res.first_rx_slot[r] != ct::MiniCastResult::kNever) ++hits[r];
-        }
-      }
-      for (NodeId r = 0; r < n; ++r) {
-        if (r != initiator && hits[r] == trials &&
-            table.min_ntx[initiator][r] == ReachabilityTable::kUnreachable) {
-          table.min_ntx[initiator][r] = ntx;
-        }
-      }
-    }
-  }
-  return table;
-}
 
 std::vector<NodeId> elect_share_holders(const net::Topology& topo,
                                         const std::vector<NodeId>& sources,

@@ -1,17 +1,18 @@
 // Bootstrapping phase (§II/§III of the paper).
 //
 // Before any aggregation round, the deployment runs a one-time setup
-// that (per the paper) distributes pairwise keys and records "which
-// neighbour is reachable at what NTX value". From that information the
-// scalable variant derives:
-//   * the round initiator (the most central node),
+// that (per the paper) distributes pairwise keys and learns "which
+// neighbour is reachable at what NTX value". The scalable variant needs
+// two things from it, and this library derives each directly:
 //   * the m share-holder ("collector") nodes every source will address —
-//     chosen for maximal reachability at low NTX so the trimmed sharing
-//     phase still delivers every share (the set must be common to all
-//     sources: a holder's sum is a point of the sum polynomial only if
-//     every source evaluated its polynomial at that holder's point),
+//     the nodes closest in hops to all sources, i.e. the ones everyone
+//     reaches at low NTX, so the trimmed sharing phase still delivers
+//     every share (the set must be common to all sources: a holder's sum
+//     is a point of the sum polynomial only if every source evaluated
+//     its polynomial at that holder's point);
 //   * a calibrated NTX for any delivery requirement (used to pick the
 //     full-coverage NTX of naive S3 honestly, instead of hard-coding it).
+// The round initiator, the most central node, is Topology::center_node.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +26,6 @@
 
 namespace mpciot::core {
 
-/// Reachability table built from Glossy probe floods: probe[i][j] = the
-/// smallest NTX at which node j received a probe initiated by node i in
-/// all of `trials` trials (0xFFFFFFFF if never).
-struct ReachabilityTable {
-  static constexpr std::uint32_t kUnreachable = 0xFFFFFFFFu;
-  std::vector<std::vector<std::uint32_t>> min_ntx;  // [initiator][receiver]
-};
-
-/// `transport` (here and below) selects the substrate probed/calibrated;
-/// null means the paper's MiniCast/Glossy substrate.
-ReachabilityTable probe_reachability(const net::Topology& topo,
-                                     std::uint32_t max_ntx,
-                                     std::uint32_t trials,
-                                     crypto::Xoshiro256& rng,
-                                     const ct::Transport* transport = nullptr);
-
 /// Pick `count` share-holder nodes: the nodes with the smallest total
 /// hop distance to all sources (ties by node id). This is the
 /// deterministic equivalent of "the nodes everyone reaches at low NTX".
@@ -51,6 +36,8 @@ std::vector<NodeId> elect_share_holders(const net::Topology& topo,
 /// Find the smallest NTX in [1, max_ntx] such that a sharing round over
 /// `entries` reaches `required_ratio` of the per-node done-predicates in
 /// every one of `trials` trials. Returns max_ntx if none suffices.
+/// `transport` selects the substrate calibrated; null means the paper's
+/// MiniCast substrate.
 struct NtxCalibration {
   std::uint32_t ntx = 0;
   bool satisfied = false;

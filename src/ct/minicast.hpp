@@ -18,7 +18,7 @@
 // Reception state is kept in packed 64-bit bitmaps (one bit per chain
 // entry per node); `done` predicates observe them through `BitView`.
 // Per-round scratch lives in a `RoundContext` so sweeps that run many
-// rounds (NTX calibration, probe floods) reuse the allocations.
+// rounds (NTX calibration, streaming sessions) reuse the allocations.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,6 @@
 #include "common/types.hpp"
 #include "crypto/prng.hpp"
 #include "net/channel_model.hpp"
-#include "net/energy.hpp"
-#include "net/reception.hpp"
 #include "net/topology.hpp"
 
 namespace mpciot::ct {

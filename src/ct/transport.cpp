@@ -1,6 +1,8 @@
 #include "ct/transport.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -20,31 +22,12 @@ class MiniCastTransport : public Transport {
  public:
   const char* name() const override { return "minicast"; }
 
-  GlossyResult flood(const net::Topology& topo, const GlossyConfig& config,
-                     crypto::Xoshiro256& rng,
-                     RoundContext* scratch) const override {
-    return run_glossy(topo, config, rng, scratch);
-  }
-
-  MiniCastResult chain_round(const net::Topology& topo,
-                             const std::vector<ChainEntry>& entries,
-                             const MiniCastConfig& config,
-                             crypto::Xoshiro256& rng,
-                             RoundContext* scratch) const override {
-    if (scratch == nullptr) return run_minicast(topo, entries, config, rng);
-    MiniCastResult out;
-    run_minicast_into(topo, entries, config, rng, *scratch, out);
-    return out;
-  }
-
   void flood_into(const net::Topology& topo, const GlossyConfig& config,
                   crypto::Xoshiro256& rng, RoundContext* scratch,
                   GlossyResult& out) const override {
-    if (scratch != nullptr) {
-      run_glossy_into(topo, config, rng, *scratch, out);
-    } else {
-      out = run_glossy(topo, config, rng, nullptr);
-    }
+    std::optional<RoundContext> local;  // built only when scratch is null
+    run_glossy_into(topo, config, rng,
+                    scratch != nullptr ? *scratch : local.emplace(), out);
   }
 
   void chain_round_into(const net::Topology& topo,
@@ -52,11 +35,9 @@ class MiniCastTransport : public Transport {
                         const MiniCastConfig& config, crypto::Xoshiro256& rng,
                         RoundContext* scratch,
                         MiniCastResult& out) const override {
-    if (scratch != nullptr) {
-      run_minicast_into(topo, entries, config, rng, *scratch, out);
-    } else {
-      out = run_minicast(topo, entries, config, rng);
-    }
+    std::optional<RoundContext> local;  // built only when scratch is null
+    run_minicast_into(topo, entries, config, rng,
+                      scratch != nullptr ? *scratch : local.emplace(), out);
   }
 };
 
@@ -67,17 +48,17 @@ class GlossyFloodsTransport : public Transport {
  public:
   const char* name() const override { return "glossy_floods"; }
 
-  GlossyResult flood(const net::Topology& topo, const GlossyConfig& config,
-                     crypto::Xoshiro256& rng,
-                     RoundContext* scratch) const override {
-    return run_glossy(topo, config, rng, scratch);
+  void flood_into(const net::Topology& topo, const GlossyConfig& config,
+                  crypto::Xoshiro256& rng, RoundContext* scratch,
+                  GlossyResult& out) const override {
+    minicast_transport().flood_into(topo, config, rng, scratch, out);
   }
 
-  MiniCastResult chain_round(const net::Topology& topo,
-                             const std::vector<ChainEntry>& entries,
-                             const MiniCastConfig& config,
-                             crypto::Xoshiro256& rng,
-                             RoundContext* scratch) const override {
+  void chain_round_into(const net::Topology& topo,
+                        const std::vector<ChainEntry>& entries,
+                        const MiniCastConfig& config, crypto::Xoshiro256& rng,
+                        RoundContext* scratch,
+                        MiniCastResult& out) const override {
     const std::size_t n = topo.size();
     const std::size_t num_entries = entries.size();
     MPCIOT_REQUIRE(num_entries > 0, "glossy_floods: empty chain");
@@ -112,8 +93,8 @@ class GlossyFloodsTransport : public Transport {
       }
     }
 
-    RoundContext local;
-    RoundContext& ctx = scratch != nullptr ? *scratch : local;
+    std::optional<RoundContext> local;
+    RoundContext& ctx = scratch != nullptr ? *scratch : local.emplace();
     std::vector<ChainEntry> one(1);
     MiniCastResult sub;
     std::uint32_t slots_so_far = 0;
@@ -160,16 +141,17 @@ class GlossyFloodsTransport : public Transport {
       }
     }
     result.chain_slots_used = slots_so_far;
-    return result;
+    out = std::move(result);
   }
 };
 
 }  // namespace
 
-GlossyResult GossipTransport::flood(const net::Topology& topo,
-                                    const GlossyConfig& config,
-                                    crypto::Xoshiro256& rng,
-                                    RoundContext* /*scratch*/) const {
+void GossipTransport::flood_into(const net::Topology& topo,
+                                 const GlossyConfig& config,
+                                 crypto::Xoshiro256& rng,
+                                 RoundContext* /*scratch*/,
+                                 GlossyResult& out) const {
   MiniCastConfig mc;
   mc.initiator = config.initiator;
   mc.channel = config.channel;
@@ -182,30 +164,33 @@ GlossyResult GossipTransport::flood(const net::Topology& topo,
   mc.channel_model = config.channel_model;
   mc.liveness = config.liveness;
   const std::vector<ChainEntry> entries{ChainEntry{config.initiator}};
-  const MiniCastResult r = run_gossip(topo, entries, mc, params_, rng);
+  MiniCastResult r = run_gossip(topo, entries, mc, params_, rng);
 
-  GlossyResult out;
-  out.first_rx_slot.reserve(r.rx_slot.size());
-  for (const auto& row : r.rx_slot) out.first_rx_slot.push_back(row[0]);
-  out.tx_count = r.tx_count;
-  out.radio_on_us = r.radio_on_us;
-  out.slots_used = r.chain_slots_used;
-  out.duration_us = r.duration_us;
-  out.channel = r.channel;
-  return out;
+  GlossyResult result;
+  result.first_rx_slot.reserve(r.rx_slot.size());
+  for (const auto& row : r.rx_slot) result.first_rx_slot.push_back(row[0]);
+  result.tx_count = std::move(r.tx_count);
+  result.radio_on_us = std::move(r.radio_on_us);
+  result.slots_used = r.chain_slots_used;
+  result.duration_us = r.duration_us;
+  result.channel = r.channel;
+  out = std::move(result);
 }
 
-MiniCastResult GossipTransport::chain_round(
-    const net::Topology& topo, const std::vector<ChainEntry>& entries,
-    const MiniCastConfig& config, crypto::Xoshiro256& rng,
-    RoundContext* /*scratch*/) const {
-  return run_gossip(topo, entries, config, params_, rng);
+void GossipTransport::chain_round_into(const net::Topology& topo,
+                                       const std::vector<ChainEntry>& entries,
+                                       const MiniCastConfig& config,
+                                       crypto::Xoshiro256& rng,
+                                       RoundContext* /*scratch*/,
+                                       MiniCastResult& out) const {
+  out = run_gossip(topo, entries, config, params_, rng);
 }
 
-GlossyResult UnicastTransport::flood(const net::Topology& topo,
-                                     const GlossyConfig& config,
-                                     crypto::Xoshiro256& rng,
-                                     RoundContext* /*scratch*/) const {
+void UnicastTransport::flood_into(const net::Topology& topo,
+                                  const GlossyConfig& config,
+                                  crypto::Xoshiro256& rng,
+                                  RoundContext* /*scratch*/,
+                                  GlossyResult& out) const {
   const std::size_t n = topo.size();
   const net::routing::HopTiming timing =
       net::routing::hop_timing(topo.radio(), config.payload_bytes, mac_);
@@ -220,32 +205,34 @@ GlossyResult UnicastTransport::flood(const net::Topology& topo,
     envp = &env;
   }
 
-  GlossyResult out;
-  out.channel = config.channel;
-  out.first_rx_slot.assign(n, MiniCastResult::kNever);
-  out.first_rx_slot[config.initiator] = MiniCastResult::kOwnEntry;
-  out.tx_count.assign(n, 0);
-  out.radio_on_us.assign(n, 0);
+  GlossyResult result;
+  result.channel = config.channel;
+  result.first_rx_slot.assign(n, MiniCastResult::kNever);
+  result.first_rx_slot[config.initiator] = MiniCastResult::kOwnEntry;
+  result.tx_count.assign(n, 0);
+  result.radio_on_us.assign(n, 0);
   SimTime elapsed = 0;
   for (NodeId dst = 0; dst < n; ++dst) {
     if (dst == config.initiator) continue;
     if (net::routing::walk_route(topo, config.initiator, dst, timing,
                                  mac_.max_retries_per_hop, rng,
-                                 out.radio_on_us, elapsed, &out.tx_count,
-                                 nullptr, envp)) {
-      out.first_rx_slot[dst] =
+                                 result.radio_on_us, elapsed,
+                                 &result.tx_count, nullptr, envp)) {
+      result.first_rx_slot[dst] =
           static_cast<std::int32_t>(elapsed / kMillisecond);
     }
   }
-  out.duration_us = elapsed;
-  out.slots_used = static_cast<std::uint32_t>(elapsed / kMillisecond);
-  return out;
+  result.duration_us = elapsed;
+  result.slots_used = static_cast<std::uint32_t>(elapsed / kMillisecond);
+  out = std::move(result);
 }
 
-MiniCastResult UnicastTransport::chain_round(
-    const net::Topology& topo, const std::vector<ChainEntry>& entries,
-    const MiniCastConfig& config, crypto::Xoshiro256& rng,
-    RoundContext* /*scratch*/) const {
+void UnicastTransport::chain_round_into(const net::Topology& topo,
+                                        const std::vector<ChainEntry>& entries,
+                                        const MiniCastConfig& config,
+                                        crypto::Xoshiro256& rng,
+                                        RoundContext* /*scratch*/,
+                                        MiniCastResult& out) const {
   const std::size_t n = topo.size();
   const std::size_t num_entries = entries.size();
   MPCIOT_REQUIRE(num_entries > 0, "unicast transport: empty chain");
@@ -334,7 +321,7 @@ MiniCastResult UnicastTransport::chain_round(
   }
   result.duration_us = elapsed;
   result.chain_slots_used = static_cast<std::uint32_t>(elapsed / kMillisecond);
-  return result;
+  out = std::move(result);
 }
 
 ChannelTimeline::ChannelTimeline(std::uint16_t num_channels)

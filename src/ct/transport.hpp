@@ -22,9 +22,11 @@
 //                       destinations).
 //
 // Transports are stateless and thread-safe: concurrent trials may share
-// one instance. Callers running many rounds can pass a RoundContext to
-// chain_round to reuse scratch allocations where the substrate supports
-// it.
+// one instance. Each substrate implements each primitive once, as the
+// result-writing flood_into / chain_round_into; the by-value flood /
+// chain_round are base-class wrappers over them. Callers running many
+// rounds can pass a RoundContext to reuse scratch allocations where the
+// substrate supports it.
 //
 // Every substrate honours the dynamics seams in its config
 // (start_time_us + channel_model + liveness, see MiniCastConfig): link
@@ -54,40 +56,45 @@ class Transport {
   /// Registry name (see the list above).
   virtual const char* name() const = 0;
 
-  /// One-to-all synchronization flood from config.initiator. `scratch`
-  /// follows the chain_round contract below; substrates that keep no
-  /// per-round state ignore it.
-  virtual GlossyResult flood(const net::Topology& topo,
-                             const GlossyConfig& config,
-                             crypto::Xoshiro256& rng,
-                             RoundContext* scratch = nullptr) const = 0;
-
-  /// One many-to-many round over the chain `entries`. `scratch`, when
-  /// non-null, lets the substrate reuse per-round allocations; passing
-  /// the same context from concurrent threads is the caller's bug.
-  virtual MiniCastResult chain_round(const net::Topology& topo,
-                                     const std::vector<ChainEntry>& entries,
-                                     const MiniCastConfig& config,
-                                     crypto::Xoshiro256& rng,
-                                     RoundContext* scratch = nullptr) const = 0;
-
-  /// Result-reusing variants for streaming callers (core::Session): the
-  /// substrate writes into caller-owned results whose buffers persist
-  /// across rounds. The default implementations fall back to the
-  /// allocating primitives above; the MiniCast substrate overrides them
-  /// with genuinely allocation-free engines, so a warmed-up session
-  /// round performs zero heap allocations on the paper's substrate.
+  /// One-to-all synchronization flood from config.initiator, written
+  /// into `out`. `scratch` follows the chain_round_into contract below;
+  /// substrates that keep no per-round state ignore it.
   virtual void flood_into(const net::Topology& topo,
                           const GlossyConfig& config, crypto::Xoshiro256& rng,
-                          RoundContext* scratch, GlossyResult& out) const {
-    out = flood(topo, config, rng, scratch);
-  }
+                          RoundContext* scratch, GlossyResult& out) const = 0;
+
+  /// One many-to-many round over the chain `entries`, written into
+  /// `out`. `scratch`, when non-null, lets the substrate reuse per-round
+  /// allocations; passing the same context from concurrent threads is
+  /// the caller's bug. Every field of `out` is overwritten, so streaming
+  /// callers (core::Session) keep one result warm across rounds; the
+  /// MiniCast substrate reuses its buffers, so a warmed-up session round
+  /// performs zero heap allocations on the paper's substrate.
   virtual void chain_round_into(const net::Topology& topo,
                                 const std::vector<ChainEntry>& entries,
                                 const MiniCastConfig& config,
                                 crypto::Xoshiro256& rng, RoundContext* scratch,
-                                MiniCastResult& out) const {
-    out = chain_round(topo, entries, config, rng, scratch);
+                                MiniCastResult& out) const = 0;
+
+  /// By-value forms of the two primitives for one-shot callers.
+  /// Substrates do not override them; they stay virtual so a decorator
+  /// (perfbench's TimedTransport) can wrap every entry point.
+  virtual GlossyResult flood(const net::Topology& topo,
+                             const GlossyConfig& config,
+                             crypto::Xoshiro256& rng,
+                             RoundContext* scratch = nullptr) const {
+    GlossyResult out;
+    flood_into(topo, config, rng, scratch, out);
+    return out;
+  }
+  virtual MiniCastResult chain_round(const net::Topology& topo,
+                                     const std::vector<ChainEntry>& entries,
+                                     const MiniCastConfig& config,
+                                     crypto::Xoshiro256& rng,
+                                     RoundContext* scratch = nullptr) const {
+    MiniCastResult out;
+    chain_round_into(topo, entries, config, rng, scratch, out);
+    return out;
   }
 };
 
@@ -146,14 +153,14 @@ class GossipTransport : public Transport {
  public:
   explicit GossipTransport(GossipParams params = {}) : params_(params) {}
   const char* name() const override { return "gossip"; }
-  GlossyResult flood(const net::Topology& topo, const GlossyConfig& config,
-                     crypto::Xoshiro256& rng,
-                     RoundContext* scratch) const override;
-  MiniCastResult chain_round(const net::Topology& topo,
-                             const std::vector<ChainEntry>& entries,
-                             const MiniCastConfig& config,
-                             crypto::Xoshiro256& rng,
-                             RoundContext* scratch) const override;
+  void flood_into(const net::Topology& topo, const GlossyConfig& config,
+                  crypto::Xoshiro256& rng, RoundContext* scratch,
+                  GlossyResult& out) const override;
+  void chain_round_into(const net::Topology& topo,
+                        const std::vector<ChainEntry>& entries,
+                        const MiniCastConfig& config, crypto::Xoshiro256& rng,
+                        RoundContext* scratch,
+                        MiniCastResult& out) const override;
 
  private:
   GossipParams params_;
@@ -168,14 +175,14 @@ class UnicastTransport : public Transport {
  public:
   explicit UnicastTransport(net::routing::MacParams mac = {}) : mac_(mac) {}
   const char* name() const override { return "unicast"; }
-  GlossyResult flood(const net::Topology& topo, const GlossyConfig& config,
-                     crypto::Xoshiro256& rng,
-                     RoundContext* scratch) const override;
-  MiniCastResult chain_round(const net::Topology& topo,
-                             const std::vector<ChainEntry>& entries,
-                             const MiniCastConfig& config,
-                             crypto::Xoshiro256& rng,
-                             RoundContext* scratch) const override;
+  void flood_into(const net::Topology& topo, const GlossyConfig& config,
+                  crypto::Xoshiro256& rng, RoundContext* scratch,
+                  GlossyResult& out) const override;
+  void chain_round_into(const net::Topology& topo,
+                        const std::vector<ChainEntry>& entries,
+                        const MiniCastConfig& config, crypto::Xoshiro256& rng,
+                        RoundContext* scratch,
+                        MiniCastResult& out) const override;
 
  private:
   net::routing::MacParams mac_;

@@ -250,46 +250,6 @@ Partition grid_blocks(const Topology& topo, std::uint32_t target_groups,
   return finalize(topo, std::move(assignment), target_groups, min_group_size);
 }
 
-Partition greedy_radius(const Topology& topo, std::uint32_t target_groups,
-                        std::uint32_t min_group_size) {
-  const std::size_t n = topo.size();
-  MPCIOT_REQUIRE(target_groups >= 1, "greedy_radius: need at least one group");
-  MPCIOT_REQUIRE(static_cast<std::size_t>(target_groups) * min_group_size <= n,
-                 "greedy_radius: too many groups for the node count");
-
-  // Farthest-point sampling on good-link hop distance: start from the
-  // network center, then repeatedly add the node farthest from every
-  // chosen seed (ties: lower id; good-link-unreachable counts as
-  // farthest, so isolated pockets get their own seed first).
-  std::vector<NodeId> seeds{topo.center_node()};
-  std::vector<std::uint64_t> dist(n, 0);
-  // Whole rows via hops_from: each seed costs one BFS instead of n
-  // point queries.
-  const auto hop_or_max = [](const std::uint32_t* row, NodeId b) {
-    const std::uint32_t h = row[b];
-    return h == Topology::kInvalidHops ? std::uint64_t{1} << 32
-                                       : std::uint64_t{h};
-  };
-  const std::uint32_t* row = topo.hops_from(seeds[0]);
-  for (NodeId i = 0; i < n; ++i) dist[i] = hop_or_max(row, i);
-  while (seeds.size() < target_groups) {
-    NodeId far = 0;
-    for (NodeId i = 1; i < n; ++i) {
-      if (dist[i] > dist[far]) far = i;
-    }
-    seeds.push_back(far);
-    row = topo.hops_from(far);
-    for (NodeId i = 0; i < n; ++i) {
-      dist[i] = std::min(dist[i], hop_or_max(row, i));
-    }
-  }
-
-  std::vector<std::uint32_t> assignment(n, kUnassigned);
-  for (std::uint32_t g = 0; g < seeds.size(); ++g) assignment[seeds[g]] = g;
-  grow_groups(topo, assignment);
-  return finalize(topo, std::move(assignment), target_groups, min_group_size);
-}
-
 bool subgraph_connected(const Topology& topo,
                         const std::vector<NodeId>& members) {
   if (members.size() <= 1) return true;

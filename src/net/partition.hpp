@@ -2,18 +2,14 @@
 // substrate of hierarchical multi-group aggregation (one CT chain per
 // group on its own channel, group sums recombined up a tree).
 //
-// Two clustering strategies, both deterministic for a given topology:
-//   * grid_blocks    — tile the deployment's bounding box into roughly
-//                      square blocks, seed one group per occupied block,
-//                      and grow the groups over usable links so every
-//                      group is connected even when a block's nodes are
-//                      not (RF holes, jittered placements).
-//   * greedy_radius  — farthest-point-sample `target_groups` seed nodes
-//                      (maximizing pairwise hop distance), then grow
-//                      balls around the seeds over usable links.
-// Both guarantee the partition invariants checked by validate():
-// every node in exactly one group, every group at least min_group_size
-// nodes, every group's induced usable-link subgraph connected.
+// One clustering, deterministic for a given topology: grid_blocks tiles
+// the deployment's bounding box into roughly square blocks, seeds one
+// group per occupied block, and grows the groups over usable links so
+// every group is connected even when a block's nodes are not (RF holes,
+// jittered placements). It guarantees the partition invariants checked
+// by validate(): every node in exactly one group, every group at least
+// min_group_size nodes, every group's induced usable-link subgraph
+// connected.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +34,6 @@ struct Partition {
 /// `min_group_size`, can reduce the count.
 Partition grid_blocks(const Topology& topo, std::uint32_t target_groups,
                       std::uint32_t min_group_size = 2);
-
-/// Greedy radius clustering around farthest-point-sampled seeds. Same
-/// `target_groups` / `min_group_size` semantics as grid_blocks.
-Partition greedy_radius(const Topology& topo, std::uint32_t target_groups,
-                        std::uint32_t min_group_size = 2);
 
 /// True iff the subgraph induced by `members` (over usable links,
 /// prr >= link_floor_prr) is connected. Empty/singleton member sets are

@@ -96,6 +96,12 @@ void Coordinator::on_frame(std::uint64_t conn, Frame&& frame) {
 }
 
 void Coordinator::on_hello(std::uint64_t conn, const Hello& hello) {
+  // One connection speaks for one node id: a joined connection's
+  // further Hellos bind nothing and are dropped.
+  if (node_of_conn_.count(conn) != 0) {
+    ++refused_hellos_;
+    return;
+  }
   const bool stale = hello.generation != config_.generation;
   const bool bad_id = hello.node >= config_.node_count;
   const bool mismatched = hello.node_count != config_.node_count ||

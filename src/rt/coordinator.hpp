@@ -86,6 +86,8 @@ class Coordinator {
   /// The deterministic campaign report ("mpciot-bench/1" schema).
   const bench_core::JsonValue& report() const { return report_; }
   const std::vector<RoundOutcome>& outcomes() const { return outcomes_; }
+  /// Hellos refused (stale, mismatched or duplicate id) plus repeat
+  /// Hellos dropped on a connection that already joined.
   std::uint32_t refused_hellos() const { return refused_hellos_; }
 
  private:

@@ -55,27 +55,6 @@ TEST(ElectShareHolders, SubsetSourcesBiasTowardThem) {
   EXPECT_LE(holders[0], 2u);
 }
 
-TEST(ProbeReachability, SelfIsZeroAndNeighborsReachableAtLowNtx) {
-  const net::Topology topo = make_line(4);
-  crypto::Xoshiro256 rng(3);
-  const ReachabilityTable table = probe_reachability(topo, 4, 2, rng);
-  ASSERT_EQ(table.min_ntx.size(), 4u);
-  for (NodeId i = 0; i < 4; ++i) {
-    EXPECT_EQ(table.min_ntx[i][i], 0u);
-  }
-  // Adjacent strong links: reachable at NTX <= 2 from every initiator.
-  EXPECT_LE(table.min_ntx[0][1], 2u);
-  EXPECT_LE(table.min_ntx[2][3], 2u);
-}
-
-TEST(ProbeReachability, FartherNodesNeedAtLeastAsMuchNtx) {
-  const net::Topology topo = make_line(6);
-  crypto::Xoshiro256 rng(5);
-  const ReachabilityTable table = probe_reachability(topo, 8, 2, rng);
-  // From node 0, reaching node 5 can't need less NTX than node 1.
-  EXPECT_GE(table.min_ntx[0][5], table.min_ntx[0][1]);
-}
-
 TEST(CalibrateNtx, FindsSmallNtxForEasyGoal) {
   const net::Topology topo = make_line(5);
   crypto::Xoshiro256 rng(7);

@@ -103,24 +103,19 @@ TEST(Hierarchical, MatchesFlatProtocolOnLosslessTopology) {
   EXPECT_EQ(flat_res.expected_sum, expected);
   EXPECT_GT(flat_res.success_ratio(), 0.99);
 
-  // Hierarchical with both partitioners and several group counts.
-  for (const bool use_grid_blocks : {true, false}) {
-    for (const std::uint32_t g : {1u, 2u, 4u}) {
-      core::HierarchicalConfig cfg;
-      cfg.partition = use_grid_blocks
-                          ? net::partition::grid_blocks(topo, g)
-                          : net::partition::greedy_radius(topo, g);
-      cfg.num_channels = static_cast<std::uint16_t>(g);
-      const HierarchicalProtocol proto(topo, std::move(cfg));
-      sim::Simulator sim(11);
-      const HierarchicalResult res = session_round(proto, secrets, sim);
-      ASSERT_TRUE(res.has_aggregate);
-      EXPECT_EQ(res.aggregate, expected)
-          << "partitioner=" << use_grid_blocks << " g=" << g;
-      EXPECT_TRUE(res.aggregate_correct);
-      EXPECT_EQ(res.aggregate, flat_res.expected_sum);
-      EXPECT_GT(res.success_ratio(), 0.99);
-    }
+  // Hierarchical at several group counts.
+  for (const std::uint32_t g : {1u, 2u, 4u}) {
+    core::HierarchicalConfig cfg;
+    cfg.partition = net::partition::grid_blocks(topo, g);
+    cfg.num_channels = static_cast<std::uint16_t>(g);
+    const HierarchicalProtocol proto(topo, std::move(cfg));
+    sim::Simulator sim(11);
+    const HierarchicalResult res = session_round(proto, secrets, sim);
+    ASSERT_TRUE(res.has_aggregate);
+    EXPECT_EQ(res.aggregate, expected) << "g=" << g;
+    EXPECT_TRUE(res.aggregate_correct);
+    EXPECT_EQ(res.aggregate, flat_res.expected_sum);
+    EXPECT_GT(res.success_ratio(), 0.99);
   }
 }
 

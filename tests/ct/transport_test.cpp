@@ -1,12 +1,16 @@
 // The transport seam: registry contract, and the equivalences that pin
 // the seam to the concrete engines — the default transport must be
-// bit-identical to calling run_glossy/run_minicast directly, and the
-// single-entry MiniCast chain must equal a Glossy flood.
+// bit-identical to calling run_glossy/run_minicast directly, the
+// single-entry MiniCast chain must equal a Glossy flood, and every
+// substrate's by-value and result-writing entry points must agree.
 #include "ct/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/assert.hpp"
+#include "ct/chain_schedule.hpp"
 #include "ct/glossy.hpp"
 #include "net/testbeds.hpp"
 
@@ -194,6 +198,101 @@ TEST(Transport, UnicastNeverRoutesThroughDisabledRelays) {
   EXPECT_FALSE(res.node_has(2, 0));
   EXPECT_EQ(res.tx_count[1], 0u);
   EXPECT_EQ(res.radio_on_us[1], 0);
+}
+
+void expect_same(const GlossyResult& a, const GlossyResult& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.first_rx_slot, b.first_rx_slot) << what;
+  EXPECT_EQ(a.tx_count, b.tx_count) << what;
+  EXPECT_EQ(a.radio_on_us, b.radio_on_us) << what;
+  EXPECT_EQ(a.slots_used, b.slots_used) << what;
+  EXPECT_EQ(a.duration_us, b.duration_us) << what;
+  EXPECT_EQ(a.channel, b.channel) << what;
+}
+
+void expect_same(const MiniCastResult& a, const MiniCastResult& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.rx_slot, b.rx_slot) << what;
+  EXPECT_EQ(a.tx_count, b.tx_count) << what;
+  EXPECT_EQ(a.done_slot, b.done_slot) << what;
+  EXPECT_EQ(a.radio_on_us, b.radio_on_us) << what;
+  EXPECT_EQ(a.chain_slots_used, b.chain_slots_used) << what;
+  EXPECT_EQ(a.chain_slot_us, b.chain_slot_us) << what;
+  EXPECT_EQ(a.duration_us, b.duration_us) << what;
+  EXPECT_EQ(a.channel, b.channel) << what;
+}
+
+std::vector<NodeId> all_nodes(const net::Topology& topo) {
+  std::vector<NodeId> nodes(topo.size());
+  for (NodeId i = 0; i < topo.size(); ++i) nodes[i] = i;
+  return nodes;
+}
+
+TEST(Transport, EveryEntryPointGivesTheSameResult) {
+  // Each substrate implements flood_into / chain_round_into once; the
+  // by-value forms wrap them. From equal RNG states, the by-value result
+  // must equal the result-writing one with a null scratch, with a
+  // scratch, and written over a result (and scratch) left warm by a
+  // larger earlier round — and both must leave the RNG at the same draw.
+  const net::Topology topo = net::testbeds::random_uniform(12, 70, 70, 5);
+  const net::Topology big = net::testbeds::random_uniform(20, 90, 90, 3);
+  const SharingSchedule sharing =
+      make_sharing_schedule(all_nodes(topo), {0, 3, 6, 9});
+  const SharingSchedule big_sharing =
+      make_sharing_schedule(all_nodes(big), {0, 4, 8, 12, 16, 19});
+
+  GlossyConfig gcfg;
+  gcfg.initiator = topo.center_node();
+  gcfg.channel = 2;
+  gcfg.ntx = 3;
+  GlossyConfig big_gcfg;
+  big_gcfg.initiator = big.center_node();
+  big_gcfg.ntx = 5;
+  MiniCastConfig mcfg;
+  mcfg.initiator = topo.center_node();
+  mcfg.channel = 2;
+  mcfg.ntx = 3;
+  MiniCastConfig big_mcfg;
+  big_mcfg.initiator = big.center_node();
+  big_mcfg.ntx = 5;
+
+  constexpr std::uint64_t kSeed = 17;
+  const char* const kVariants[] = {"null scratch", "scratch", "warm"};
+  for (const std::string& name : transport_names()) {
+    const std::unique_ptr<Transport> t = make_transport(name);
+
+    crypto::Xoshiro256 flood_rng(kSeed);
+    const GlossyResult flood = t->flood(topo, gcfg, flood_rng);
+    const std::uint64_t flood_next = flood_rng.next_u64();
+    crypto::Xoshiro256 chain_rng(kSeed);
+    const MiniCastResult chain =
+        t->chain_round(topo, sharing.entries, mcfg, chain_rng);
+    const std::uint64_t chain_next = chain_rng.next_u64();
+
+    for (int v = 0; v < 3; ++v) {
+      const std::string what = name + ", " + kVariants[v];
+      RoundContext scratch;
+      GlossyResult flood_out;
+      MiniCastResult chain_out;
+      if (v == 2) {
+        crypto::Xoshiro256 warm_rng(kSeed + 1);
+        t->flood_into(big, big_gcfg, warm_rng, &scratch, flood_out);
+        t->chain_round_into(big, big_sharing.entries, big_mcfg, warm_rng,
+                            &scratch, chain_out);
+      }
+      RoundContext* const ctx = v == 0 ? nullptr : &scratch;
+
+      crypto::Xoshiro256 rng(kSeed);
+      t->flood_into(topo, gcfg, rng, ctx, flood_out);
+      expect_same(flood, flood_out, what);
+      EXPECT_EQ(rng.next_u64(), flood_next) << what;
+
+      rng = crypto::Xoshiro256(kSeed);
+      t->chain_round_into(topo, sharing.entries, mcfg, rng, ctx, chain_out);
+      expect_same(chain, chain_out, what);
+      EXPECT_EQ(rng.next_u64(), chain_next) << what;
+    }
+  }
 }
 
 TEST(Transport, UnicastDeterministicPerSeed) {

@@ -1,6 +1,6 @@
 // Partition invariants for the hierarchical-aggregation substrate:
 // every node lands in exactly one group, every group's usable-link
-// subgraph is connected, and both clusterings are deterministic.
+// subgraph is connected, and the clustering is deterministic.
 #include "net/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -41,21 +41,10 @@ TEST(Partition, GridBlocksInvariantsOnGrids) {
   }
 }
 
-TEST(Partition, GreedyRadiusInvariantsOnGrids) {
-  for (const auto& [rows, cols] :
-       {std::pair{4u, 4u}, std::pair{8u, 8u}, std::pair{8u, 16u}}) {
-    const Topology topo = testbeds::grid(rows, cols, 12.0, 99);
-    for (const std::uint32_t g : {1u, 2u, 4u, 8u}) {
-      expect_invariants(topo, greedy_radius(topo, g), g);
-    }
-  }
-}
-
 TEST(Partition, InvariantsOnIrregularTestbeds) {
   for (const Topology& topo : {testbeds::flocklab(), testbeds::dcube()}) {
     for (const std::uint32_t g : {2u, 4u}) {
       expect_invariants(topo, grid_blocks(topo, g), g);
-      expect_invariants(topo, greedy_radius(topo, g), g);
     }
   }
 }
@@ -72,9 +61,6 @@ TEST(Partition, Deterministic) {
   const Partition a = grid_blocks(topo, 4);
   const Partition b = grid_blocks(topo, 4);
   EXPECT_EQ(a.groups, b.groups);
-  const Partition c = greedy_radius(topo, 4);
-  const Partition d = greedy_radius(topo, 4);
-  EXPECT_EQ(c.groups, d.groups);
 }
 
 TEST(Partition, GridBlocksAreSpatiallyCoherent) {
@@ -130,7 +116,6 @@ TEST(Partition, ValidateRejectsBrokenPartitions) {
 TEST(Partition, TooManyGroupsViolatesContract) {
   const Topology topo = testbeds::grid(2, 2, 12.0, 1);
   EXPECT_THROW(grid_blocks(topo, 3), ContractViolation);
-  EXPECT_THROW(greedy_radius(topo, 3), ContractViolation);
 }
 
 }  // namespace
