@@ -2,14 +2,11 @@
 // sub-slot airtime, and airtime is linear in payload bytes — so the
 // field the shares live in is a first-order performance knob. Compares
 // the S4 sharing round on FlockLab for Fp61 (18 B packets), GF(65521)
-// (12 B) and GF(251) (11 B) share encodings; the small-field Shamir path
-// is additionally checked end-to-end.
+// (12 B) and GF(251) (11 B) share encodings.
 #include <cstdint>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "core/protocol.hpp"
-#include "core/small_shamir.hpp"
 #include "core/wire.hpp"
 #include "ct/chain_schedule.hpp"
 #include "metrics/stats.hpp"
@@ -69,26 +66,6 @@ Rows run_payload_size(const ScenarioContext& ctx) {
     rows.push_back(std::move(row));
   }
 
-  // Correctness of the small-field path itself (16-bit end-to-end).
-  const field::PrimeField f16(65521);
-  std::vector<core::SmallShamirDealer> dealers;
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    crypto::CtrDrbg drbg(ctx.seed + i, i);
-    const std::uint64_t reading = 100 + i;
-    expected = f16.add(expected, reading);
-    dealers.emplace_back(f16, reading, degree, drbg);
-  }
-  std::vector<core::SmallShare> sums;
-  for (std::size_t h = 0; h <= degree; ++h) {
-    std::uint64_t s = 0;
-    for (const auto& d : dealers) {
-      s = f16.add(s, d.share_for(static_cast<NodeId>(h)).value);
-    }
-    sums.push_back(core::SmallShare{static_cast<NodeId>(h), s});
-  }
-  MPCIOT_ENSURE(core::small_reconstruct(f16, sums, degree) == expected,
-                "payload_size: 16-bit field end-to-end check failed");
   return rows;
 }
 

@@ -49,8 +49,8 @@ Rows run_unicast_vs_ct(const ScenarioContext& ctx) {
     sim::Simulator sim(metrics::trial_sim_seed(ctx.seed, t));
     const auto secrets = metrics::random_secrets(
         metrics::trial_secret_seed(ctx.seed, t), sources.size());
-    const core::UnicastResult res = core::run_unicast_sss(
-        topo, uc_cfg, secrets, core::UnicastParams{}, sim);
+    const core::UnicastResult res =
+        core::run_unicast_sss(topo, uc_cfg, secrets, sim);
     uc_latency_ms.add(static_cast<double>(res.total_duration_us) / 1e3);
     uc_radio_ms.add(static_cast<double>(res.max_radio_on_us()) / 1e3);
     uc_success.add(res.success_ratio());

@@ -28,7 +28,6 @@ SimTime UnicastResult::max_radio_on_us() const {
 UnicastResult run_unicast_sss(const net::Topology& topo,
                               const ProtocolConfig& config,
                               const std::vector<field::Fp61>& secrets,
-                              const UnicastParams& params,
                               sim::Simulator& sim) {
   MPCIOT_REQUIRE(secrets.size() == config.sources.size(),
                  "unicast: one secret per source");
@@ -59,9 +58,7 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
   // point-to-point, the reconstruction chain broadcasts each holder's
   // sum to every node — the same message pattern a non-CT collection-
   // tree deployment would generate, with identical per-hop ARQ walks.
-  const ct::UnicastTransport transport(net::routing::MacParams{
-      params.max_retries_per_hop, params.ack_payload_bytes,
-      params.wakeup_interval_us});
+  const ct::UnicastTransport transport;
 
   const ct::SharingSchedule sharing =
       ct::make_sharing_schedule(config.sources, config.share_holders);
@@ -130,7 +127,7 @@ UnicastResult run_unicast_sss(const net::Topology& topo,
   // Idle-listening overhead.
   for (NodeId i = 0; i < n; ++i) {
     result.radio_on_us[i] += static_cast<SimTime>(
-        params.idle_duty_cycle * static_cast<double>(result.total_duration_us));
+        kIdleDutyCycle * static_cast<double>(result.total_duration_us));
   }
 
   // Per-node reconstruction through the CT path's rule. A holder that

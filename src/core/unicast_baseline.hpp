@@ -18,7 +18,6 @@
 // (sim::Simulator::advance) by its total duration.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -28,19 +27,9 @@
 
 namespace mpciot::core {
 
-struct UnicastParams {
-  std::uint32_t max_retries_per_hop = 8;
-  std::uint32_t ack_payload_bytes = 2;
-  /// Fraction of elapsed round time a node's radio is on just to stay
-  /// addressable (ContikiMAC-class duty cycling).
-  double idle_duty_cycle = 0.01;
-  /// Receiver wake-up interval of the duty-cycled MAC (ContikiMAC
-  /// default: 8 Hz). A sender must strobe for half of it on average
-  /// before the receiver's ear is open — the dominant per-hop latency of
-  /// low-power unicast, and the cost CT protocols avoid by keeping the
-  /// whole network time-synchronized.
-  SimTime wakeup_interval_us = 125000;
-};
+/// Fraction of elapsed round time a node's radio is on just to stay
+/// addressable (ContikiMAC-class duty cycling).
+inline constexpr double kIdleDutyCycle = 0.01;
 
 struct UnicastResult {
   /// Messages that reached their destination / total messages.
@@ -54,11 +43,10 @@ struct UnicastResult {
 
 /// Run one full SSS aggregation round (sharing + reconstruction) over
 /// unicast routing. Configuration reuses ProtocolConfig (NTX fields are
-/// ignored; retries come from UnicastParams).
+/// ignored); the MAC runs at the net::routing::MacParams defaults.
 UnicastResult run_unicast_sss(const net::Topology& topo,
                               const ProtocolConfig& config,
                               const std::vector<field::Fp61>& secrets,
-                              const UnicastParams& params,
                               sim::Simulator& sim);
 
 }  // namespace mpciot::core

@@ -27,29 +27,37 @@ GlossyResult run_glossy(const net::Topology& topo, const GlossyConfig& config,
 void run_glossy_into(const net::Topology& topo, const GlossyConfig& config,
                      crypto::Xoshiro256& rng, RoundContext& scratch,
                      GlossyResult& out) {
+  scratch.flood_entries.assign(1, ChainEntry{config.initiator});
+  run_minicast_into(topo, scratch.flood_entries,
+                    flood_chain_config(config, RadioPolicy::kUntilQuiescence),
+                    rng, scratch, scratch.flood_tmp);
+  flood_result_from_chain(scratch.flood_tmp, out);
+}
+
+MiniCastConfig flood_chain_config(const GlossyConfig& config,
+                                  RadioPolicy policy) {
   MiniCastConfig mc;
   mc.initiator = config.initiator;
   mc.channel = config.channel;
   mc.ntx = config.ntx;
   mc.payload_bytes = config.payload_bytes;
   mc.max_chain_slots = config.max_slots;
-  mc.radio_policy = RadioPolicy::kUntilQuiescence;
+  mc.radio_policy = policy;
   mc.start_time_us = config.start_time_us;
   mc.channel_model = config.channel_model;
   mc.liveness = config.liveness;
+  return mc;
+}
 
-  scratch.flood_entries.assign(1, ChainEntry{config.initiator});
-  MiniCastResult& r = scratch.flood_tmp;
-  run_minicast_into(topo, scratch.flood_entries, mc, rng, scratch, r);
-
+void flood_result_from_chain(const MiniCastResult& chain, GlossyResult& out) {
   out.first_rx_slot.clear();
-  out.first_rx_slot.reserve(r.rx_slot.size());
-  for (const auto& row : r.rx_slot) out.first_rx_slot.push_back(row[0]);
-  out.tx_count = r.tx_count;
-  out.radio_on_us = r.radio_on_us;
-  out.slots_used = r.chain_slots_used;
-  out.duration_us = r.duration_us;
-  out.channel = r.channel;
+  out.first_rx_slot.reserve(chain.rx_slot.size());
+  for (const auto& row : chain.rx_slot) out.first_rx_slot.push_back(row[0]);
+  out.tx_count = chain.tx_count;
+  out.radio_on_us = chain.radio_on_us;
+  out.slots_used = chain.chain_slots_used;
+  out.duration_us = chain.duration_us;
+  out.channel = chain.channel;
 }
 
 }  // namespace mpciot::ct

@@ -61,4 +61,14 @@ void run_glossy_into(const net::Topology& topo, const GlossyConfig& config,
                      crypto::Xoshiro256& rng, RoundContext& scratch,
                      GlossyResult& out);
 
+/// Every substrate runs a flood as a chain round over the one entry
+/// {ChainEntry{config.initiator}}. This maps the flood config onto that
+/// round's config; substrates differ only in the radio `policy`.
+MiniCastConfig flood_chain_config(const GlossyConfig& config,
+                                  RadioPolicy policy);
+
+/// Writes the one-entry chain result `chain` into `out`, overwriting
+/// every field (a warm `out` reuses its buffers).
+void flood_result_from_chain(const MiniCastResult& chain, GlossyResult& out);
+
 }  // namespace mpciot::ct

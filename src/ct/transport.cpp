@@ -152,29 +152,12 @@ void GossipTransport::flood_into(const net::Topology& topo,
                                  crypto::Xoshiro256& rng,
                                  RoundContext* /*scratch*/,
                                  GlossyResult& out) const {
-  MiniCastConfig mc;
-  mc.initiator = config.initiator;
-  mc.channel = config.channel;
-  mc.ntx = config.ntx;
-  mc.payload_bytes = config.payload_bytes;
-  mc.max_chain_slots = config.max_slots;
   // Flood completion is per node: leave the round once the packet is in.
-  mc.radio_policy = RadioPolicy::kEarlyOff;
-  mc.start_time_us = config.start_time_us;
-  mc.channel_model = config.channel_model;
-  mc.liveness = config.liveness;
-  const std::vector<ChainEntry> entries{ChainEntry{config.initiator}};
-  MiniCastResult r = run_gossip(topo, entries, mc, params_, rng);
-
-  GlossyResult result;
-  result.first_rx_slot.reserve(r.rx_slot.size());
-  for (const auto& row : r.rx_slot) result.first_rx_slot.push_back(row[0]);
-  result.tx_count = std::move(r.tx_count);
-  result.radio_on_us = std::move(r.radio_on_us);
-  result.slots_used = r.chain_slots_used;
-  result.duration_us = r.duration_us;
-  result.channel = r.channel;
-  out = std::move(result);
+  flood_result_from_chain(
+      run_gossip(topo, {ChainEntry{config.initiator}},
+                 flood_chain_config(config, RadioPolicy::kEarlyOff), params_,
+                 rng),
+      out);
 }
 
 void GossipTransport::chain_round_into(const net::Topology& topo,
@@ -189,42 +172,15 @@ void GossipTransport::chain_round_into(const net::Topology& topo,
 void UnicastTransport::flood_into(const net::Topology& topo,
                                   const GlossyConfig& config,
                                   crypto::Xoshiro256& rng,
-                                  RoundContext* /*scratch*/,
+                                  RoundContext* scratch,
                                   GlossyResult& out) const {
-  const std::size_t n = topo.size();
-  const net::routing::HopTiming timing =
-      net::routing::hop_timing(topo.radio(), config.payload_bytes, mac_);
-  net::ChannelView view;
-  net::routing::WalkEnv env;
-  const net::routing::WalkEnv* envp = nullptr;
-  if (config.channel_model != nullptr || config.liveness != nullptr) {
-    view.bind(topo, config.channel_model);
-    env.base_us = config.start_time_us;
-    env.view = config.channel_model != nullptr ? &view : nullptr;
-    env.liveness = config.liveness;
-    envp = &env;
-  }
-
-  GlossyResult result;
-  result.channel = config.channel;
-  result.first_rx_slot.assign(n, MiniCastResult::kNever);
-  result.first_rx_slot[config.initiator] = MiniCastResult::kOwnEntry;
-  result.tx_count.assign(n, 0);
-  result.radio_on_us.assign(n, 0);
-  SimTime elapsed = 0;
-  for (NodeId dst = 0; dst < n; ++dst) {
-    if (dst == config.initiator) continue;
-    if (net::routing::walk_route(topo, config.initiator, dst, timing,
-                                 mac_.max_retries_per_hop, rng,
-                                 result.radio_on_us, elapsed,
-                                 &result.tx_count, nullptr, envp)) {
-      result.first_rx_slot[dst] =
-          static_cast<std::int32_t>(elapsed / kMillisecond);
-    }
-  }
-  result.duration_us = elapsed;
-  result.slots_used = static_cast<std::uint32_t>(elapsed / kMillisecond);
-  out = std::move(result);
+  // The flood is one broadcast entry: the initiator's walk to every
+  // other node in id order. The radio policy does not apply to walks.
+  MiniCastResult chain;
+  chain_round_into(topo, {ChainEntry{config.initiator}},
+                   flood_chain_config(config, RadioPolicy::kUntilQuiescence),
+                   rng, scratch, chain);
+  flood_result_from_chain(chain, out);
 }
 
 void UnicastTransport::chain_round_into(const net::Topology& topo,

@@ -35,8 +35,7 @@ TEST(UnicastBaseline, AggregatesCorrectlyOnGrid) {
   const auto cfg = make_s3_config(topo, sources, 2, /*ntx unused*/ 1);
   sim::Simulator sim(3);
   const auto secrets = fixed_secrets(9);
-  const UnicastResult res =
-      run_unicast_sss(topo, cfg, secrets, UnicastParams{}, sim);
+  const UnicastResult res = run_unicast_sss(topo, cfg, secrets, sim);
 
   Fp61 expected;
   for (const auto& s : secrets) expected += s;
@@ -53,12 +52,11 @@ TEST(UnicastBaseline, DurationGrowsWithMessageCount) {
   sim::Simulator sim1(3);
   sim::Simulator sim2(3);
   const auto small = run_unicast_sss(
-      topo, make_s3_config(topo, {0, 4, 8}, 1, 1), fixed_secrets(3),
-      UnicastParams{}, sim1);
+      topo, make_s3_config(topo, {0, 4, 8}, 1, 1), fixed_secrets(3), sim1);
   std::vector<NodeId> sources;
   for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
   const auto large = run_unicast_sss(topo, make_s3_config(topo, sources, 2, 1),
-                                     fixed_secrets(9), UnicastParams{}, sim2);
+                                     fixed_secrets(9), sim2);
   EXPECT_GT(large.total_duration_us, small.total_duration_us);
 }
 
@@ -66,14 +64,13 @@ TEST(UnicastBaseline, RadioOnIncludesIdleListening) {
   const net::Topology topo = make_grid9();
   std::vector<NodeId> sources;
   for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  UnicastParams params;
-  params.idle_duty_cycle = 0.5;  // exaggerate for the test
   sim::Simulator sim(9);
   const auto res = run_unicast_sss(topo, make_s3_config(topo, sources, 2, 1),
-                                   fixed_secrets(9), params, sim);
+                                   fixed_secrets(9), sim);
   for (NodeId i = 0; i < topo.size(); ++i) {
     EXPECT_GE(res.radio_on_us[i],
-              static_cast<SimTime>(0.5 * res.total_duration_us) - 1);
+              static_cast<SimTime>(kIdleDutyCycle * res.total_duration_us) -
+                  1);
   }
 }
 
@@ -86,16 +83,12 @@ TEST(UnicastBaseline, IsExactlyTheSeamComposition) {
   for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
   const auto cfg = make_s3_config(topo, sources, 2, 1);
   const auto secrets = fixed_secrets(9);
-  UnicastParams params;
 
   sim::Simulator sim1(3);
-  const UnicastResult res =
-      run_unicast_sss(topo, cfg, secrets, params, sim1);
+  const UnicastResult res = run_unicast_sss(topo, cfg, secrets, sim1);
 
   sim::Simulator sim2(3);
-  const ct::UnicastTransport transport(net::routing::MacParams{
-      params.max_retries_per_hop, params.ack_payload_bytes,
-      params.wakeup_interval_us});
+  const ct::UnicastTransport transport;
   const auto sharing =
       ct::make_sharing_schedule(cfg.sources, cfg.share_holders);
   ct::MiniCastConfig share_cfg;
@@ -114,8 +107,7 @@ TEST(UnicastBaseline, IsExactlyTheSeamComposition) {
   EXPECT_EQ(sim1.now(), res.total_duration_us);
   for (NodeId i = 0; i < topo.size(); ++i) {
     const SimTime idle = static_cast<SimTime>(
-        params.idle_duty_cycle *
-        static_cast<double>(res.total_duration_us));
+        kIdleDutyCycle * static_cast<double>(res.total_duration_us));
     EXPECT_EQ(res.radio_on_us[i], share_round.radio_on_us[i] +
                                       recon_round.radio_on_us[i] + idle)
         << "node " << i;
@@ -130,12 +122,10 @@ TEST(UnicastBaseline, PinnedRegressionOnGrid9) {
   for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
   sim::Simulator sim(3);
   const UnicastResult res = run_unicast_sss(
-      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9),
-      UnicastParams{}, sim);
+      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9), sim);
   sim::Simulator sim2(3);
   const UnicastResult res2 = run_unicast_sss(
-      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9),
-      UnicastParams{}, sim2);
+      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9), sim2);
   EXPECT_EQ(res.total_duration_us, res2.total_duration_us);
   EXPECT_EQ(res.radio_on_us, res2.radio_on_us);
   EXPECT_EQ(res.delivery_ratio, res2.delivery_ratio);
@@ -145,7 +135,7 @@ TEST(UnicastBaseline, SecretCountMismatchViolatesContract) {
   const net::Topology topo = make_grid9();
   sim::Simulator sim(1);
   EXPECT_THROW(run_unicast_sss(topo, make_s3_config(topo, {0, 1, 2}, 1, 1),
-                               fixed_secrets(2), UnicastParams{}, sim),
+                               fixed_secrets(2), sim),
                ContractViolation);
 }
 

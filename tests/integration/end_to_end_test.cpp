@@ -107,7 +107,7 @@ TEST(EndToEnd, UnicastBaselineIsSlowerThanCt) {
   const AggregationResult ct_res = *session.run_round(secrets, sim_ct).flat;
   sim::Simulator sim_uc(5);
   const core::UnicastResult uc_res =
-      core::run_unicast_sss(topo, cfg, secrets, core::UnicastParams{}, sim_uc);
+      core::run_unicast_sss(topo, cfg, secrets, sim_uc);
 
   EXPECT_EQ(ct_res.success_ratio(), 1.0);
   EXPECT_EQ(uc_res.success_ratio(), 1.0);
