@@ -46,7 +46,6 @@ class JsonValue {
   }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_number() const {
     return kind_ == Kind::kInt || kind_ == Kind::kUint ||
            kind_ == Kind::kDouble;

@@ -1,5 +1,5 @@
-// Hex encoding/decoding helpers, used by crypto tests (FIPS/RFC vectors)
-// and by debug logging.
+// Hex encoding/decoding helpers, used by the tests' known-answer vectors
+// (FIPS/RFC crypto vectors and pinned wire bytes).
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,7 @@ inline constexpr NodeId kInvalidNode = 0xFFFFFFFFu;
 /// Simulated time in microseconds. Signed so durations subtract safely.
 using SimTime = std::int64_t;
 
-/// One microsecond tick helpers.
-inline constexpr SimTime kMicrosecond = 1;
+/// Tick helpers (SimTime counts microseconds).
 inline constexpr SimTime kMillisecond = 1000;
 inline constexpr SimTime kSecond = 1000 * 1000;
 

@@ -4,33 +4,9 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace mpciot::core {
-
-namespace {
-
-// All multi-byte wire fields are little-endian by explicit byte shifts
-// (never memcpy of a host integer), so frames decode identically on
-// heterogeneous hosts. Pinned by the FixedByteLayout regression tests.
-void put_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 Bytes SharePacket::encode(const crypto::KeyStore& keys) const {
   Bytes wire;
@@ -45,15 +21,15 @@ void SharePacket::encode_into(const crypto::KeyStore& keys,
   MPCIOT_REQUIRE(source <= 0xFFFF && destination <= 0xFFFF,
                  "SharePacket: node ids are u16 on the wire");
   wire.assign(kWireSize, 0);
-  put_u16(wire.data(), static_cast<std::uint16_t>(source));
-  put_u16(wire.data() + 2, static_cast<std::uint16_t>(destination));
-  put_u16(wire.data() + 4, round);
+  store_le(wire.data(), static_cast<std::uint16_t>(source));
+  store_le(wire.data() + 2, static_cast<std::uint16_t>(destination));
+  store_le(wire.data() + 4, round);
 
   // Encrypt the 8-byte share value with AES-CTR under the pairwise key.
   const auto key = keys.pairwise_key(source, destination);
   const crypto::AesCtr ctr(key);
   std::uint8_t plain[8];
-  put_u64(plain, share.value());
+  store_le(plain, share.value());
   const auto nonce = crypto::AesCtr::make_nonce(source, destination, round,
                                                 /*sequence=*/0);
   ctr.crypt(nonce, std::span<const std::uint8_t>{plain, 8},
@@ -70,9 +46,9 @@ std::optional<SharePacket> SharePacket::decode(const Bytes& wire,
                                                const crypto::KeyStore& keys) {
   if (wire.size() != kWireSize) return std::nullopt;
   SharePacket pkt;
-  pkt.source = get_u16(wire.data());
-  pkt.destination = get_u16(wire.data() + 2);
-  pkt.round = get_u16(wire.data() + 4);
+  pkt.source = load_le<std::uint16_t>(wire.data());
+  pkt.destination = load_le<std::uint16_t>(wire.data() + 2);
+  pkt.round = load_le<std::uint16_t>(wire.data() + 4);
   if (pkt.source == pkt.destination) return std::nullopt;
   if (pkt.source >= keys.node_count() || pkt.destination >= keys.node_count()) {
     return std::nullopt;
@@ -98,7 +74,7 @@ std::optional<SharePacket> SharePacket::decode(const Bytes& wire,
   // reduce an out-of-range word, letting a non-canonical encoding alias
   // a legitimate share (the truncated tag makes forgery cheap enough
   // that defense in depth here is warranted).
-  const std::uint64_t share_raw = get_u64(plain);
+  const auto share_raw = load_le<std::uint64_t>(plain);
   if (share_raw >= field::Fp61::kModulus) return std::nullopt;
   pkt.share = field::Fp61{share_raw};
   return pkt;
@@ -113,26 +89,26 @@ Bytes SumPacket::encode() const {
 void SumPacket::encode_into(Bytes& wire) const {
   MPCIOT_REQUIRE(holder <= 0xFFFF, "SumPacket: node ids are u16 on the wire");
   wire.assign(kWireSize, 0);
-  put_u16(wire.data(), static_cast<std::uint16_t>(holder));
+  store_le(wire.data(), static_cast<std::uint16_t>(holder));
   wire[2] = contribution_count;
-  put_u16(wire.data() + 3, round);
-  put_u64(wire.data() + 5, sum.value());
-  put_u64(wire.data() + 13, contributors);
+  store_le(wire.data() + 3, round);
+  store_le(wire.data() + 5, sum.value());
+  store_le(wire.data() + 13, contributors);
 }
 
 std::optional<SumPacket> SumPacket::decode(const Bytes& wire) {
   if (wire.size() != kWireSize) return std::nullopt;
   SumPacket pkt;
-  pkt.holder = get_u16(wire.data());
+  pkt.holder = load_le<std::uint16_t>(wire.data());
   pkt.contribution_count = wire[2];
-  pkt.round = get_u16(wire.data() + 3);
+  pkt.round = load_le<std::uint16_t>(wire.data() + 3);
   // SumPackets travel in plaintext, so internal consistency is the only
   // line of defense: the sum must be a canonical field encoding and the
   // explicit count must match the bitmap it summarizes.
-  const std::uint64_t sum_raw = get_u64(wire.data() + 5);
+  const auto sum_raw = load_le<std::uint64_t>(wire.data() + 5);
   if (sum_raw >= field::Fp61::kModulus) return std::nullopt;
   pkt.sum = field::Fp61{sum_raw};
-  pkt.contributors = get_u64(wire.data() + 13);
+  pkt.contributors = load_le<std::uint64_t>(wire.data() + 13);
   if (pkt.contribution_count !=
       static_cast<std::uint8_t>(std::popcount(pkt.contributors))) {
     return std::nullopt;

@@ -6,9 +6,10 @@
 // Sizes drive the simulator's airtime, so the structs encode/decode to
 // exact byte layouts (node ids are u16 on the wire — the hierarchical
 // protocol runs deployments far beyond the 255-node ceiling u8 ids
-// imposed). Every multi-byte field is serialized little-endian so the
-// same frame decodes identically on heterogeneous hosts — a requirement
-// now that the rt layer carries these packets over real sockets:
+// imposed). Every multi-byte field is serialized little-endian through
+// common/bytes so the same frame decodes identically on heterogeneous
+// hosts — a requirement now that the rt layer carries these packets
+// over real sockets:
 //
 //   SharePacket (18 B):  src u16 | dst u16 | round u16 | ct u64 | tag u32
 //   SumPacket   (21 B):  holder u16 | count u8 | round u16 | sum u64

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace mpciot::crypto {
 
@@ -12,13 +13,6 @@ void increment_be(Aes128::Block& ctr) {
   for (std::size_t i = ctr.size(); i-- > 0;) {
     if (++ctr[i] != 0) break;
   }
-}
-
-void put_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
 }
 }  // namespace
 
@@ -64,10 +58,10 @@ std::vector<std::uint8_t> AesCtr::crypt(
 AesCtr::Nonce AesCtr::make_nonce(std::uint32_t sender, std::uint32_t receiver,
                                  std::uint32_t round, std::uint32_t sequence) {
   Nonce n{};
-  put_be32(n.data() + 0, sender);
-  put_be32(n.data() + 4, receiver);
-  put_be32(n.data() + 8, round);
-  put_be32(n.data() + 12, sequence);
+  store_be(n.data() + 0, sender);
+  store_be(n.data() + 4, receiver);
+  store_be(n.data() + 8, round);
+  store_be(n.data() + 12, sequence);
   return n;
 }
 

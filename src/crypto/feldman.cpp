@@ -1,6 +1,7 @@
 #include "crypto/feldman.hpp"
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace mpciot::crypto::feldman {
 
@@ -81,18 +82,6 @@ GroupElement pack(u128 v) {
 }
 
 const u128 kGMont = to_mont(kG);
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  }
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
 
 }  // namespace
 
@@ -177,8 +166,8 @@ std::vector<std::uint8_t> serialize(const Commitment& commitment) {
   std::vector<std::uint8_t> out(commitment.wire_size());
   std::uint8_t* p = out.data();
   for (const GroupElement& e : commitment.elements) {
-    put_u64(p, e.hi);
-    put_u64(p + 8, e.lo);
+    store_be(p, e.hi);
+    store_be(p + 8, e.lo);
     p += Commitment::kElementBytes;
   }
   return out;
@@ -191,7 +180,8 @@ Commitment deserialize(const std::uint8_t* data, std::size_t size) {
   out.elements.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t* p = data + i * Commitment::kElementBytes;
-    const GroupElement e{get_u64(p), get_u64(p + 8)};
+    const GroupElement e{load_be<std::uint64_t>(p),
+                         load_be<std::uint64_t>(p + 8)};
     if (!in_group(e)) {
       out.elements.clear();
       return out;

@@ -4,36 +4,10 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "crypto/prng.hpp"
 
 namespace mpciot::crypto {
-
-namespace {
-void put_le64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-Aes128::Key key_from_seed(std::uint64_t seed) {
-  Aes128::Key key{};
-  std::uint64_t sm = seed;
-  const std::uint64_t a = splitmix64(sm);
-  const std::uint64_t b = splitmix64(sm);
-  // Explicit little-endian serialization: a memcpy of the host integers
-  // would derive different keys on a big-endian host, silently breaking
-  // cross-host deployments (bytes identical to the historic memcpy on
-  // little-endian machines, so existing golden outputs are unchanged).
-  put_le64(key.data(), a);
-  put_le64(key.data() + 8, b);
-  return key;
-}
-
-void put_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-}  // namespace
 
 KeyStore::KeyStore(const Aes128::Key& master_key, std::uint32_t node_count)
     : kdf_(master_key), node_count_(node_count) {
@@ -50,23 +24,9 @@ Aes128::Key KeyStore::pairwise_key(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
   std::uint8_t msg[16] = {};
-  put_be32(msg + 0, lo);
-  put_be32(msg + 4, hi);
+  store_be(msg + 0, lo);
+  store_be(msg + 4, hi);
   std::memcpy(msg + 8, "pairwise", 8);
-  return kdf_.compute(std::span<const std::uint8_t>{msg, sizeof msg});
-}
-
-Aes128::Key KeyStore::node_key(NodeId node) const {
-  MPCIOT_REQUIRE(node < node_count_, "KeyStore: node id out of range");
-  std::uint8_t msg[12] = {};
-  put_be32(msg + 0, node);
-  std::memcpy(msg + 4, "node-key", 8);
-  return kdf_.compute(std::span<const std::uint8_t>{msg, sizeof msg});
-}
-
-Aes128::Key KeyStore::group_key() const {
-  std::uint8_t msg[9] = {};
-  std::memcpy(msg, "group-key", 9);
   return kdf_.compute(std::span<const std::uint8_t>{msg, sizeof msg});
 }
 

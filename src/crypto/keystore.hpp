@@ -21,7 +21,7 @@ class KeyStore {
   /// Create a keystore rooted at `master_key` for `node_count` nodes.
   KeyStore(const Aes128::Key& master_key, std::uint32_t node_count);
 
-  /// Derive from a 64-bit deployment seed (test/simulation convenience).
+  /// Root at key_from_seed(deployment_seed) (test/simulation convenience).
   KeyStore(std::uint64_t deployment_seed, std::uint32_t node_count);
 
   std::uint32_t node_count() const { return node_count_; }
@@ -29,13 +29,6 @@ class KeyStore {
   /// Pairwise key shared by nodes a and b. Symmetric: key(a,b)==key(b,a).
   /// Precondition: a != b, both < node_count.
   Aes128::Key pairwise_key(NodeId a, NodeId b) const;
-
-  /// Per-node key for data only that node may read (e.g. DRBG seeding).
-  Aes128::Key node_key(NodeId node) const;
-
-  /// Network-wide group key. No packet uses it yet: reconstruction-
-  /// phase SumPackets travel untagged.
-  Aes128::Key group_key() const;
 
  private:
   Cmac kdf_;

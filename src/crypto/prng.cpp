@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace mpciot::crypto {
 
@@ -19,6 +20,14 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream_tag,
   state = splitmix64(state) ^ stream_tag;
   state = splitmix64(state) ^ index;
   return splitmix64(state);
+}
+
+Aes128::Key key_from_seed(std::uint64_t seed) {
+  Aes128::Key key{};
+  std::uint64_t sm = seed;
+  store_le(key.data(), splitmix64(sm));
+  store_le(key.data() + 8, splitmix64(sm));
+  return key;
 }
 
 namespace {
@@ -76,24 +85,11 @@ bool Xoshiro256::next_bool(double p) {
 
 CtrDrbg::CtrDrbg(const Aes128::Key& seed_key, std::uint64_t personalization)
     : cipher_(seed_key) {
-  for (int i = 0; i < 8; ++i) {
-    counter_[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(personalization >> (56 - 8 * i));
-  }
+  store_be(counter_.data(), personalization);
 }
 
 CtrDrbg::CtrDrbg(std::uint64_t seed, std::uint64_t personalization)
-    : CtrDrbg(
-          [&] {
-            Aes128::Key key{};
-            std::uint64_t sm = seed;
-            const std::uint64_t a = splitmix64(sm);
-            const std::uint64_t b = splitmix64(sm);
-            std::memcpy(key.data(), &a, 8);
-            std::memcpy(key.data() + 8, &b, 8);
-            return key;
-          }(),
-          personalization) {}
+    : CtrDrbg(key_from_seed(seed), personalization) {}
 
 void CtrDrbg::fill(std::uint8_t* out, std::size_t len) {
   while (len > 0) {
@@ -138,15 +134,9 @@ void CtrDrbg::fill(std::uint8_t* out, std::size_t len) {
 std::uint64_t CtrDrbg::next_u64() {
   std::uint8_t bytes[8];
   fill(bytes, sizeof bytes);
-  // Little-endian interpretation of the keystream bytes (not a memcpy
-  // into a host integer): heterogeneous hosts seeded identically must
-  // draw identical u64s, or distributed dealers would disagree with the
-  // simulator. Identical to the historic memcpy on little-endian hosts.
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  }
-  return v;
+  // Heterogeneous hosts seeded identically must draw identical u64s, or
+  // distributed dealers would disagree with the simulator.
+  return load_le<std::uint64_t>(bytes);
 }
 
 std::uint64_t CtrDrbg::next_below(std::uint64_t bound) {

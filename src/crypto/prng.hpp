@@ -21,6 +21,11 @@ namespace mpciot::crypto {
 /// splitmix64, used to expand a single 64-bit seed into generator state.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+/// AES key from a 64-bit seed: two splitmix64 draws, each little-endian,
+/// so every host derives the same key. Roots both KeyStore(seed) and
+/// CtrDrbg(seed).
+Aes128::Key key_from_seed(std::uint64_t seed);
+
 /// Collision-free stream-seed derivation: mixes (base, stream_tag, index)
 /// through three rounds of the splitmix64 finalizer. Use this wherever a
 /// per-trial or per-stream RNG is seeded. Arithmetic derivations such as
@@ -71,7 +76,7 @@ class CtrDrbg {
   /// that separates independent streams (e.g. per node id).
   CtrDrbg(const Aes128::Key& seed_key, std::uint64_t personalization);
 
-  /// Convenience: derive the seed key from a 64-bit seed via splitmix64.
+  /// Convenience: seed with key_from_seed(seed).
   explicit CtrDrbg(std::uint64_t seed, std::uint64_t personalization = 0);
 
   void fill(std::uint8_t* out, std::size_t len);

@@ -7,17 +7,23 @@
 
 namespace mpciot::ct {
 
+namespace {
+/// Per-slot transmission probability of a node holding sendable data.
+constexpr double kTxProb = 0.35;
+/// Sub-slot cap as a multiple of the entry count (a MiniCast chain slot
+/// is `entries` sub-slots, so this compares 1:1 with
+/// MiniCastConfig::max_chain_slots).
+constexpr std::uint64_t kMaxSlotFactor = 64;
+}  // namespace
+
 MiniCastResult run_gossip(const net::Topology& topo,
                           const std::vector<ChainEntry>& entries,
                           const MiniCastConfig& config,
-                          const GossipParams& params,
                           crypto::Xoshiro256& rng) {
   const std::size_t n = topo.size();
   const std::size_t num_entries = entries.size();
   MPCIOT_REQUIRE(num_entries > 0, "gossip: empty chain");
   MPCIOT_REQUIRE(config.ntx > 0, "gossip: ntx must be positive");
-  MPCIOT_REQUIRE(params.tx_prob > 0.0 && params.tx_prob <= 1.0,
-                 "gossip: tx_prob must be in (0, 1]");
   for (const ChainEntry& e : entries) {
     MPCIOT_REQUIRE(e.origin < n, "gossip: entry origin out of range");
   }
@@ -102,8 +108,7 @@ MiniCastResult run_gossip(const net::Topology& topo,
       config.channel_model != nullptr ? &view : nullptr;
   const net::LivenessModel* churn = config.liveness;
   std::vector<char> down(churn != nullptr ? n : 0, 0);
-  const std::uint64_t max_slots =
-      static_cast<std::uint64_t>(params.max_slot_factor) * num_entries;
+  const std::uint64_t max_slots = kMaxSlotFactor * num_entries;
   std::vector<net::Transmission> slot_txs;
   std::vector<char> tx_this_slot(n, 0);
   std::uint64_t slot = 0;
@@ -136,7 +141,7 @@ MiniCastResult run_gossip(const net::Topology& topo,
       // A node with nothing sendable does not contend for the channel.
       if (!active[i] || sendable[i] == 0) continue;
       if (churn != nullptr && down[i]) continue;
-      if (!rng.next_bool(params.tx_prob)) continue;
+      if (!rng.next_bool(kTxProb)) continue;
       const std::size_t e = pick_entry(i);
       if (e == num_entries) continue;  // defensive; sendable > 0 forbids it
       tx_this_slot[i] = 1;

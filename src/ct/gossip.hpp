@@ -28,15 +28,6 @@
 
 namespace mpciot::ct {
 
-struct GossipParams {
-  /// Per-slot transmission probability of a node holding sendable data.
-  double tx_prob = 0.35;
-  /// Sub-slot cap as a multiple of the entry count (a MiniCast chain
-  /// slot is `entries` sub-slots, so this compares 1:1 with
-  /// MiniCastConfig::max_chain_slots).
-  std::uint32_t max_slot_factor = 64;
-};
-
 /// Run one gossip round. Reuses MiniCastConfig for the shared knobs
 /// (ntx = per-entry budget, payload_bytes, radio_policy, done, disabled;
 /// initiator/scheduled_owners/max_chain_slots are ignored — gossip needs
@@ -45,7 +36,6 @@ struct GossipParams {
 MiniCastResult run_gossip(const net::Topology& topo,
                           const std::vector<ChainEntry>& entries,
                           const MiniCastConfig& config,
-                          const GossipParams& params,
                           crypto::Xoshiro256& rng);
 
 }  // namespace mpciot::ct

@@ -33,14 +33,6 @@ std::size_t BitView::count() const {
 
 bool BitView::all() const { return count() == bits_; }
 
-bool BitView::covers(const std::vector<std::uint64_t>& mask) const {
-  return covers(mask.data(), mask.size());
-}
-
-std::size_t BitView::count_and(const std::vector<std::uint64_t>& mask) const {
-  return count_and(mask.data(), mask.size());
-}
-
 bool BitView::covers(const std::uint64_t* mask, std::size_t words) const {
   for (std::size_t w = 0; w < words; ++w) {
     if ((mask[w] & ~words_[w]) != 0) return false;
@@ -55,16 +47,6 @@ std::size_t BitView::count_and(const std::uint64_t* mask,
     total += static_cast<std::size_t>(std::popcount(words_[w] & mask[w]));
   }
   return total;
-}
-
-std::vector<std::uint64_t> make_entry_mask(
-    std::size_t bits, const std::vector<std::size_t>& set) {
-  std::vector<std::uint64_t> mask((bits + 63) / 64, 0);
-  for (std::size_t i : set) {
-    MPCIOT_REQUIRE(i < bits, "make_entry_mask: bit index out of range");
-    bit_set(mask.data(), i);
-  }
-  return mask;
 }
 
 double MiniCastResult::delivery_ratio() const {

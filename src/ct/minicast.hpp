@@ -60,25 +60,15 @@ class BitView {
   std::size_t count() const;
   /// True when every entry is present.
   bool all() const;
-  /// True when every bit set in `mask` (same width, padded with zeros)
-  /// is present here.
-  bool covers(const std::vector<std::uint64_t>& mask) const;
-  /// Number of entries present among the bits set in `mask`.
-  std::size_t count_and(const std::vector<std::uint64_t>& mask) const;
-  /// Raw-word variants for callers keeping many masks in one flat
-  /// buffer (e.g. the per-holder need masks of a warm session round).
+  /// True when every bit set in mask[0, words) is present here.
   bool covers(const std::uint64_t* mask, std::size_t words) const;
+  /// Number of entries present among the bits set in mask[0, words).
   std::size_t count_and(const std::uint64_t* mask, std::size_t words) const;
 
  private:
   const std::uint64_t* words_ = nullptr;
   std::size_t bits_ = 0;
 };
-
-/// Build a packed mask sized for `bits` entries with the given bit
-/// indices set (helper for `done` predicates working against BitView).
-std::vector<std::uint64_t> make_entry_mask(std::size_t bits,
-                                           const std::vector<std::size_t>& set);
 
 /// Packed-bitmap primitives shared by every chain-round engine
 /// (MiniCast, gossip, the transports).

@@ -155,8 +155,7 @@ void GossipTransport::flood_into(const net::Topology& topo,
   // Flood completion is per node: leave the round once the packet is in.
   flood_result_from_chain(
       run_gossip(topo, {ChainEntry{config.initiator}},
-                 flood_chain_config(config, RadioPolicy::kEarlyOff), params_,
-                 rng),
+                 flood_chain_config(config, RadioPolicy::kEarlyOff), rng),
       out);
 }
 
@@ -166,7 +165,7 @@ void GossipTransport::chain_round_into(const net::Topology& topo,
                                        crypto::Xoshiro256& rng,
                                        RoundContext* /*scratch*/,
                                        MiniCastResult& out) const {
-  out = run_gossip(topo, entries, config, params_, rng);
+  out = run_gossip(topo, entries, config, rng);
 }
 
 void UnicastTransport::flood_into(const net::Topology& topo,
@@ -196,8 +195,9 @@ void UnicastTransport::chain_round_into(const net::Topology& topo,
     return !config.disabled.empty() && config.disabled[i] != 0;
   };
   const auto done_fn = done_or_default(config);
+  const net::routing::MacParams mac{};
   const net::routing::HopTiming timing =
-      net::routing::hop_timing(topo.radio(), config.payload_bytes, mac_);
+      net::routing::hop_timing(topo.radio(), config.payload_bytes, mac);
   net::ChannelView view;
   net::routing::WalkEnv env;
   const net::routing::WalkEnv* envp = nullptr;
@@ -246,7 +246,7 @@ void UnicastTransport::chain_round_into(const net::Topology& topo,
   const auto deliver = [&](std::size_t e, NodeId origin, NodeId dst) {
     if (dst == origin || is_disabled(dst)) return;
     if (net::routing::walk_route(topo, origin, dst, timing,
-                                 mac_.max_retries_per_hop, rng,
+                                 mac.max_retries_per_hop, rng,
                                  result.radio_on_us, elapsed,
                                  &result.tx_count, blocked, envp)) {
       if (!bit_test(have_row(dst), e)) {

@@ -140,9 +140,8 @@ class ChannelTimeline {
 const Transport& minicast_transport();
 
 /// Instantiate a registered substrate by name; throws ContractViolation
-/// for unknown names. `gossip` / `unicast` take their tuning from
-/// GossipParams / net::routing::MacParams defaults; construct
-/// GossipTransport / UnicastTransport directly to override.
+/// for unknown names. `gossip` runs at the constants in gossip.cpp,
+/// `unicast` at the net::routing::MacParams defaults.
 std::unique_ptr<Transport> make_transport(const std::string& name);
 
 /// Names accepted by make_transport, in registry order.
@@ -151,7 +150,6 @@ std::vector<std::string> transport_names();
 /// Lossy slotted push-gossip substrate (see gossip.hpp).
 class GossipTransport : public Transport {
  public:
-  explicit GossipTransport(GossipParams params = {}) : params_(params) {}
   const char* name() const override { return "gossip"; }
   void flood_into(const net::Topology& topo, const GlossyConfig& config,
                   crypto::Xoshiro256& rng, RoundContext* scratch,
@@ -161,9 +159,6 @@ class GossipTransport : public Transport {
                         const MiniCastConfig& config, crypto::Xoshiro256& rng,
                         RoundContext* scratch,
                         MiniCastResult& out) const override;
-
- private:
-  GossipParams params_;
 };
 
 /// Routed stop-and-wait unicast substrate over net::routing. Entries
@@ -173,7 +168,6 @@ class GossipTransport : public Transport {
 /// cumulative elapsed milliseconds.
 class UnicastTransport : public Transport {
  public:
-  explicit UnicastTransport(net::routing::MacParams mac = {}) : mac_(mac) {}
   const char* name() const override { return "unicast"; }
   void flood_into(const net::Topology& topo, const GlossyConfig& config,
                   crypto::Xoshiro256& rng, RoundContext* scratch,
@@ -183,9 +177,6 @@ class UnicastTransport : public Transport {
                         const MiniCastConfig& config, crypto::Xoshiro256& rng,
                         RoundContext* scratch,
                         MiniCastResult& out) const override;
-
- private:
-  net::routing::MacParams mac_;
 };
 
 }  // namespace mpciot::ct

@@ -1,84 +1,9 @@
 #include "rt/frame.hpp"
 
-#include <cstring>
-
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace mpciot::rt {
-
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool Reader::u8(std::uint8_t* out) {
-  if (failed_ || size_ - pos_ < 1) {
-    failed_ = true;
-    return false;
-  }
-  *out = data_[pos_++];
-  return true;
-}
-
-bool Reader::u16(std::uint16_t* out) {
-  if (failed_ || size_ - pos_ < 2) {
-    failed_ = true;
-    return false;
-  }
-  *out = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return true;
-}
-
-bool Reader::u32(std::uint32_t* out) {
-  if (failed_ || size_ - pos_ < 4) {
-    failed_ = true;
-    return false;
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  *out = v;
-  return true;
-}
-
-bool Reader::u64(std::uint64_t* out) {
-  if (failed_ || size_ - pos_ < 8) {
-    failed_ = true;
-    return false;
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  *out = v;
-  return true;
-}
-
-bool Reader::raw(std::size_t n, Bytes* out) {
-  if (failed_ || size_ - pos_ < n) {
-    failed_ = true;
-    return false;
-  }
-  out->assign(data_ + pos_, data_ + pos_ + n);
-  pos_ += n;
-  return true;
-}
 
 bool frame_type_known(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
@@ -87,10 +12,10 @@ bool frame_type_known(std::uint8_t t) {
 
 void encode_frame(FrameType type, const Bytes& payload, Bytes& out) {
   MPCIOT_REQUIRE(payload.size() <= kMaxPayload, "rt: frame payload too big");
-  put_u16(out, kMagic);
+  append_le(out, kMagic);
   out.push_back(kVersion);
   out.push_back(static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  append_le(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -111,16 +36,10 @@ std::optional<Frame> FrameDecoder::next() {
   const std::size_t avail = buffer_.size() - consumed_;
   if (avail < kHeaderSize) return std::nullopt;
   const std::uint8_t* h = buffer_.data() + consumed_;
-  const std::uint16_t magic =
-      static_cast<std::uint16_t>(h[0] | (h[1] << 8));
-  const std::uint8_t version = h[2];
   const std::uint8_t type = h[3];
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(h[4 + i]) << (8 * i);
-  }
-  if (magic != kMagic || version != kVersion || !frame_type_known(type) ||
-      length > kMaxPayload) {
+  const auto length = load_le<std::uint32_t>(h + 4);
+  if (load_le<std::uint16_t>(h) != kMagic || h[2] != kVersion ||
+      !frame_type_known(type) || length > kMaxPayload) {
     corrupt_ = true;
     return std::nullopt;
   }

@@ -8,13 +8,12 @@
 //   4       4     payload length, little-endian
 //   8       len   payload
 //
-// All multi-byte fields are little-endian by explicit byte shifts,
-// matching core::wire, so heterogeneous hosts interoperate. The decoder
-// is an incremental byte-stream consumer (TCP gives arbitrary read
-// boundaries) with hard rejects: a bad magic, unknown version or type,
-// or a length above kMaxPayload poisons the stream permanently — a
-// desynchronized peer cannot be trusted to resynchronize, the
-// connection must be dropped.
+// Multi-byte fields go through common/bytes, like core::wire, so
+// heterogeneous hosts interoperate. The decoder is an incremental
+// byte-stream consumer (TCP gives arbitrary read boundaries) with hard
+// rejects: a bad magic, unknown version or type, or a length above
+// kMaxPayload poisons the stream permanently — a desynchronized peer
+// cannot be trusted to resynchronize, the connection must be dropped.
 #pragma once
 
 #include <cstdint>
@@ -32,38 +31,6 @@ inline constexpr std::size_t kHeaderSize = 8;
 /// headroom for future messages while bounding a malicious peer's
 /// memory commitment per connection.
 inline constexpr std::uint32_t kMaxPayload = 64 * 1024;
-
-/// Put/get helpers shared by the frame header and message payloads.
-void put_u16(Bytes& out, std::uint16_t v);
-void put_u32(Bytes& out, std::uint32_t v);
-void put_u64(Bytes& out, std::uint64_t v);
-
-/// Bounded cursor over a received payload. All reads fail (returning
-/// false and leaving `out` untouched) once the cursor has overrun.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit Reader(const Bytes& b) : Reader(b.data(), b.size()) {}
-
-  bool u8(std::uint8_t* out);
-  bool u16(std::uint16_t* out);
-  bool u32(std::uint32_t* out);
-  bool u64(std::uint64_t* out);
-  /// Copy `n` raw bytes into `out` (resized to n).
-  bool raw(std::size_t n, Bytes* out);
-
-  /// True iff every byte was consumed and nothing overran — decoders
-  /// require this so trailing garbage is rejected, not ignored.
-  bool exhausted() const { return !failed_ && pos_ == size_; }
-  std::size_t remaining() const { return failed_ ? 0 : size_ - pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 enum class FrameType : std::uint8_t {
   kHello = 1,       ///< node -> coordinator: join a generation

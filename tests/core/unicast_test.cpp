@@ -12,13 +12,15 @@ namespace {
 
 using field::Fp61;
 
-net::Topology make_grid9() {
+/// A 3x3 grid at 12 m spacing (nodes 0-8), then the `extra` positions.
+net::Topology make_grid9(const std::vector<net::Position>& extra = {}) {
   net::RadioParams radio;
   radio.shadowing_sigma_db = 0.0;
   std::vector<net::Position> pos;
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 3; ++c) pos.push_back({c * 12.0, r * 12.0});
   }
+  pos.insert(pos.end(), extra.begin(), extra.end());
   return net::Topology(std::move(pos), radio, 7);
 }
 
@@ -61,16 +63,21 @@ TEST(UnicastBaseline, DurationGrowsWithMessageCount) {
 }
 
 TEST(UnicastBaseline, RadioOnIncludesIdleListening) {
-  const net::Topology topo = make_grid9();
+  // Node 9 sits 25 m east of node 8. Every link it has is below the
+  // routing PRR threshold, so no walk reaches it and its radio-on time
+  // is the idle-listening term alone.
+  const net::Topology topo = make_grid9({{49.0, 24.0}});
   std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
+  for (NodeId i = 0; i < 9; ++i) sources.push_back(i);
   sim::Simulator sim(9);
   const auto res = run_unicast_sss(topo, make_s3_config(topo, sources, 2, 1),
                                    fixed_secrets(9), sim);
+  const auto idle = static_cast<SimTime>(
+      kIdleDutyCycle * static_cast<double>(res.total_duration_us));
+  EXPECT_GT(idle, 0);
+  EXPECT_EQ(res.radio_on_us[9], idle);
   for (NodeId i = 0; i < topo.size(); ++i) {
-    EXPECT_GE(res.radio_on_us[i],
-              static_cast<SimTime>(kIdleDutyCycle * res.total_duration_us) -
-                  1);
+    EXPECT_GE(res.radio_on_us[i], idle);
   }
 }
 

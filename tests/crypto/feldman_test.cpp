@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hex.hpp"
 #include "core/shamir.hpp"
 #include "crypto/feldman.hpp"
 #include "crypto/prng.hpp"
@@ -182,6 +183,15 @@ TEST(FeldmanWire, SerializeRoundTripsAndSizesMatch) {
     ASSERT_EQ(wire.size(), com.wire_size());
     EXPECT_EQ(deserialize(wire.data(), wire.size()), com);
   }
+  // Known answer: each element is its hi then lo word, big-endian.
+  const Commitment fixed =
+      commit(Polynomial(std::vector<Fp61>{Fp61{7}, Fp61{11}}));
+  const char* hex =
+      "57cc13be910c9b6202d84138efcabf56"   // C_0 = g^7
+      "02a4e00228f2d4bc6af79b9045c0448b";  // C_1 = g^11
+  EXPECT_EQ(to_hex(serialize(fixed)), hex);
+  const std::vector<std::uint8_t> wire = from_hex(hex);
+  EXPECT_EQ(deserialize(wire.data(), wire.size()), fixed);
 }
 
 TEST(FeldmanWire, DeserializeRejectsMalformedInput) {

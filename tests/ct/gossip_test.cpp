@@ -23,21 +23,13 @@ TEST(Gossip, ValidatesConfig) {
   const net::Topology topo = make_line();
   crypto::Xoshiro256 rng(1);
   MiniCastConfig cfg;
-  EXPECT_THROW(run_gossip(topo, {}, cfg, GossipParams{}, rng),
-               ContractViolation);
+  EXPECT_THROW(run_gossip(topo, {}, cfg, rng), ContractViolation);
   cfg.ntx = 0;
-  EXPECT_THROW(run_gossip(topo, {ChainEntry{0}}, cfg, GossipParams{}, rng),
-               ContractViolation);
+  EXPECT_THROW(run_gossip(topo, {ChainEntry{0}}, cfg, rng), ContractViolation);
   cfg.ntx = 3;
-  GossipParams bad;
-  bad.tx_prob = 0.0;
-  EXPECT_THROW(run_gossip(topo, {ChainEntry{0}}, cfg, bad, rng),
-               ContractViolation);
-  EXPECT_THROW(run_gossip(topo, {ChainEntry{77}}, cfg, GossipParams{}, rng),
-               ContractViolation);
+  EXPECT_THROW(run_gossip(topo, {ChainEntry{77}}, cfg, rng), ContractViolation);
   cfg.disabled = {1};  // wrong size
-  EXPECT_THROW(run_gossip(topo, {ChainEntry{0}}, cfg, GossipParams{}, rng),
-               ContractViolation);
+  EXPECT_THROW(run_gossip(topo, {ChainEntry{0}}, cfg, rng), ContractViolation);
 }
 
 TEST(Gossip, DisseminatesAlongTheLine) {
@@ -50,7 +42,7 @@ TEST(Gossip, DisseminatesAlongTheLine) {
     MiniCastConfig cfg;
     cfg.ntx = 6;
     const MiniCastResult res =
-        run_gossip(topo, {ChainEntry{0}}, cfg, GossipParams{}, rng);
+        run_gossip(topo, {ChainEntry{0}}, cfg, rng);
     if (res.delivery_ratio() == 1.0) ++full;
   }
   EXPECT_GE(full, 18);
@@ -64,8 +56,8 @@ TEST(Gossip, DeterministicPerSeed) {
   cfg.ntx = 3;
   crypto::Xoshiro256 rng1(11);
   crypto::Xoshiro256 rng2(11);
-  const MiniCastResult a = run_gossip(topo, entries, cfg, GossipParams{}, rng1);
-  const MiniCastResult b = run_gossip(topo, entries, cfg, GossipParams{}, rng2);
+  const MiniCastResult a = run_gossip(topo, entries, cfg, rng1);
+  const MiniCastResult b = run_gossip(topo, entries, cfg, rng2);
   EXPECT_EQ(a.rx_slot, b.rx_slot);
   EXPECT_EQ(a.tx_count, b.tx_count);
   EXPECT_EQ(a.radio_on_us, b.radio_on_us);
@@ -79,8 +71,7 @@ TEST(Gossip, DisabledNodeNeverParticipates) {
   cfg.ntx = 6;
   cfg.disabled = {0, 0, 1, 0, 0};  // node 2 dead: line is cut
   const MiniCastResult res =
-      run_gossip(topo, {ChainEntry{0}, ChainEntry{4}}, cfg, GossipParams{},
-                 rng);
+      run_gossip(topo, {ChainEntry{0}, ChainEntry{4}}, cfg, rng);
   EXPECT_EQ(res.tx_count[2], 0u);
   EXPECT_EQ(res.radio_on_us[2], 0);
   EXPECT_FALSE(res.node_has(3, 0));
@@ -94,7 +85,7 @@ TEST(Gossip, BudgetCapsTransmissions) {
   MiniCastConfig cfg;
   cfg.ntx = 2;
   const MiniCastResult res =
-      run_gossip(topo, entries, cfg, GossipParams{}, rng);
+      run_gossip(topo, entries, cfg, rng);
   for (NodeId n = 0; n < topo.size(); ++n) {
     // At most ntx transmissions per entry the node ever held.
     EXPECT_LE(res.tx_count[n], 2u * entries.size()) << "node " << n;
@@ -114,7 +105,7 @@ TEST(Gossip, EarlyOffLeavesOnlyAfterBudgetSpent) {
   for (int t = 0; t < 20; ++t) {
     crypto::Xoshiro256 rng(50 + t);
     const MiniCastResult res =
-        run_gossip(topo, {ChainEntry{0}}, cfg, GossipParams{}, rng);
+        run_gossip(topo, {ChainEntry{0}}, cfg, rng);
     if (res.node_has(1, 0)) ++delivered;
   }
   // The origin's neighbour hears the entry in most rounds despite the

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "common/hex.hpp"
 #include "rt/messages.hpp"
 
 namespace mpciot::rt {
@@ -200,6 +201,74 @@ TEST(Messages, ShareFwdAndSumReportPinTheWirePacketSizes) {
   ASSERT_TRUE(SumReport::decode(report.encode()).has_value());
   report.packet.pop_back();
   EXPECT_FALSE(SumReport::decode(report.encode()).has_value());
+}
+
+/// Known answer: `m` encodes to exactly `hex`, and `hex` decodes to a
+/// message that encodes back to it.
+template <typename Message>
+void expect_payload(const Message& m, const char* hex) {
+  EXPECT_EQ(to_hex(m.encode()), hex);
+  const auto decoded = Message::decode(from_hex(hex));
+  ASSERT_TRUE(decoded.has_value()) << hex;
+  EXPECT_EQ(to_hex(decoded->encode()), hex);
+}
+
+TEST(Messages, KnownAnswerPayloadsArePinned) {
+  Hello hello;
+  hello.generation = 0x01020304;
+  hello.node = 0x0A0B0C0D;
+  hello.node_count = 64;
+  hello.deployment_seed = 0x1122334455667788ull;
+  expect_payload(hello,
+                 "04030201"            // generation
+                 "0d0c0b0a"            // node
+                 "40000000"            // node_count
+                 "8877665544332211");  // deployment_seed
+
+  Refuse refuse;
+  refuse.generation = 0xA1B2C3D4;
+  expect_payload(refuse, "d4c3b2a1");
+
+  Assign assign;
+  assign.group = 0x0102;
+  assign.degree = 2;
+  assign.sources = {10, 11, 0x01020304};
+  assign.holders = {0x01020304, 12, 11, 10};
+  expect_payload(assign,
+                 "02010000"                                // group
+                 "02000000"                                // degree
+                 "0300" "0a000000" "0b000000" "04030201"   // sources
+                 "0400" "04030201" "0c000000" "0b000000" "0a000000");
+
+  RoundStart start;
+  start.round = 0x0A0B;
+  expect_payload(start, "0b0a");
+
+  ShareFwd fwd;
+  fwd.dst = 0x00C0FFEE;
+  for (std::uint8_t i = 0; i < core::SharePacket::kWireSize; ++i) {
+    fwd.packet.push_back(static_cast<std::uint8_t>(0xF0 ^ i));
+  }
+  expect_payload(fwd, "eeffc000"  // dst
+                      "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeffe0e1");
+
+  SumReport report;
+  for (std::uint8_t i = 0; i < core::SumPacket::kWireSize; ++i) {
+    report.packet.push_back(static_cast<std::uint8_t>(3 * i + 1));
+  }
+  expect_payload(report, "0104070a0d101316191c1f2225282b2e3134373a3d");
+
+  SumRequest request;
+  request.round = 0xBEEF;
+  expect_payload(request, "efbe");
+
+  RoundResult result;
+  result.round = 5;
+  result.ok = 1;
+  result.aggregate = 0x0123456789ABCDEFull;
+  expect_payload(result, "0500" "01" "efcdab8967452301");
+
+  expect_payload(Shutdown{}, "");
 }
 
 }  // namespace
